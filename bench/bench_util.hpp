@@ -14,7 +14,6 @@
 #include "cpu/cpu_model.hpp"
 #include "engine/metrics.hpp"
 #include "gen/seqgen.hpp"
-#include "hw/config.hpp"
 #include "soc/soc.hpp"
 
 namespace wfasic::bench {
@@ -160,13 +159,9 @@ class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {
     // Every report carries the run conditions that could explain a drift
-    // a reader would otherwise chase blind: which stepping strategies the
-    // simulator ran under (env-overridable defaults, so two "identical"
-    // runs can differ) and whether a sanitizer inflated wall clocks. The
-    // block is informational — tools/bench_compare.py gates only on the
-    // "metrics" object.
-    meta("event_kernel", hw::event_kernel_default() ? "on" : "off");
-    meta("macro_step", hw::macro_step_default() ? "on" : "off");
+    // a reader would otherwise chase blind: whether a sanitizer inflated
+    // wall clocks. The block is informational — tools/bench_compare.py
+    // gates only on the "metrics" object.
     meta("sanitizers", sanitizer_flags());
   }
 

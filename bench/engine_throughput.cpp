@@ -113,67 +113,40 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Host wall-clock: stepping strategies vs exact reference ----------
-  // The same K=4 score-only run, timed under all four stepping
-  // strategies: exact per-cycle stepping (the reference), the legacy
-  // global-quiescence skip, the event-driven kernel, and the event kernel
-  // with compiled macro-steps (the default fast path). Simulated results
-  // must be bit-identical (checked here, live); only host wall-clock may
-  // differ. Each strategy is timed over kWallReps interleaved repetitions;
-  // the gate uses the per-strategy minimum (the least-perturbed run),
-  // with median and stddev exported so CI flakes are diagnosable from the
-  // report alone. The wall_speedup ratio (reference / macro) is
-  // machine-independent enough to gate on in CI, unlike raw nanoseconds;
-  // the host_wall_* keys are informational.
-  print_header("Host wall-clock: stepping fast paths vs exact stepping",
+  // --- Host wall-clock: fast path vs exact reference --------------------
+  // The same K=4 score-only run, timed under exact per-cycle stepping
+  // (the reference) and under the fast path (quiet-span skips plus
+  // macro-steps, the default). Simulated results must be bit-identical
+  // (checked here, live); only host wall-clock may differ. Each strategy
+  // is timed over kWallReps interleaved repetitions; the gate uses the
+  // per-strategy minimum (the least-perturbed run), with median and
+  // stddev exported so CI flakes are diagnosable from the report alone.
+  // The wall_speedup ratio (reference / fast) is machine-independent
+  // enough to gate on in CI, unlike raw nanoseconds; the host_wall_* keys
+  // are informational.
+  print_header("Host wall-clock: stepping fast path vs exact stepping",
                "(identical simulated cycles, K=4 score-only, best of 5)");
-  struct Strategy {
-    const char* name;
-    const char* key;   // BenchReport key stem: wall_ns_<key>
-    bool idle_skip;
-    bool event_kernel;
-    bool macro_step;
-  };
-  const Strategy kStrategies[] = {
-      {"reference stepping", "reference", false, false, false},
-      {"legacy idle-skip", "legacy", true, false, false},
-      {"event kernel", "event", true, true, false},
-      {"event + macro-step", "macro", true, true, true},
-  };
-  constexpr int kNumStrategies = 4;
   constexpr int kWallReps = 5;
-  auto run_strategy = [&](const Strategy& s) {
-    engine::EngineConfig cfg = base;
-    cfg.num_devices = 4;
-    cfg.device.accel.idle_skip = s.idle_skip;
-    cfg.device.accel.event_kernel = s.event_kernel;
-    cfg.device.accel.macro_step = s.macro_step;
-    engine::Engine eng(cfg);
-    return eng.run_dataset(pairs, batch_pairs, /*backtrace=*/false,
-                           /*separate_data=*/false);
-  };
   engine::BatchResult ref{};
   engine::BatchResult fast{};
-  std::vector<std::vector<std::uint64_t>> samples(kNumStrategies);
+  std::vector<std::uint64_t> ref_samples;
+  std::vector<std::uint64_t> fast_samples;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    for (int s = 0; s < kNumStrategies; ++s) {
-      WallTimer timer;
-      const engine::BatchResult r = run_strategy(kStrategies[s]);
-      samples[s].push_back(timer.elapsed_ns());
-      if (s == 0) {
-        ref = r;
-      } else if (r.pipeline_cycles != ref.pipeline_cycles ||
-                 r.accel_cycles != ref.accel_cycles) {
-        std::printf("FAIL: %s changed simulated cycles (%llu/%llu vs "
-                    "reference %llu/%llu)\n",
-                    kStrategies[s].name,
-                    static_cast<unsigned long long>(r.pipeline_cycles),
-                    static_cast<unsigned long long>(r.accel_cycles),
-                    static_cast<unsigned long long>(ref.pipeline_cycles),
-                    static_cast<unsigned long long>(ref.accel_cycles));
-        ok = false;
-      }
-      if (s == kNumStrategies - 1) fast = r;
+    WallTimer ref_timer;
+    ref = run_devices(4, /*backtrace=*/false, /*idle_skip=*/false);
+    ref_samples.push_back(ref_timer.elapsed_ns());
+    WallTimer fast_timer;
+    fast = run_devices(4, /*backtrace=*/false);
+    fast_samples.push_back(fast_timer.elapsed_ns());
+    if (fast.pipeline_cycles != ref.pipeline_cycles ||
+        fast.accel_cycles != ref.accel_cycles) {
+      std::printf("FAIL: the fast path changed simulated cycles (%llu/%llu "
+                  "vs reference %llu/%llu)\n",
+                  static_cast<unsigned long long>(fast.pipeline_cycles),
+                  static_cast<unsigned long long>(fast.accel_cycles),
+                  static_cast<unsigned long long>(ref.pipeline_cycles),
+                  static_cast<unsigned long long>(ref.accel_cycles));
+      ok = false;
     }
   }
   const auto wall_stats = [](std::vector<std::uint64_t> ns) {
@@ -199,32 +172,20 @@ int main(int argc, char** argv) {
     };
     return Stats{ns.front(), median, std::sqrt(var)};
   };
-  const auto ref_stats = wall_stats(samples[0]);
-  const auto legacy_stats = wall_stats(samples[1]);
-  const auto event_stats = wall_stats(samples[2]);
-  const auto macro_stats = wall_stats(samples[3]);
+  const auto ref_stats = wall_stats(ref_samples);
+  const auto fast_stats = wall_stats(fast_samples);
   const std::uint64_t wall_ns_reference = ref_stats.min;
-  const std::uint64_t wall_ns_legacy = legacy_stats.min;
-  const std::uint64_t wall_ns_event = event_stats.min;
-  const std::uint64_t wall_ns_fast = macro_stats.min;
+  const std::uint64_t wall_ns_fast = fast_stats.min;
   const double wall_speedup = static_cast<double>(wall_ns_reference) /
                               static_cast<double>(wall_ns_fast);
   const double k4_gcups = asic::gcups(cells, fast.pipeline_cycles,
                                       est.frequency_ghz);
   std::printf("reference stepping: %10.3f ms\n",
               static_cast<double>(wall_ns_reference) / 1e6);
-  std::printf("legacy idle-skip:   %10.3f ms   (%.2fx wall-clock)\n",
-              static_cast<double>(wall_ns_legacy) / 1e6,
-              static_cast<double>(wall_ns_reference) /
-                  static_cast<double>(wall_ns_legacy));
-  std::printf("event kernel:       %10.3f ms   (%.2fx wall-clock)\n",
-              static_cast<double>(wall_ns_event) / 1e6,
-              static_cast<double>(wall_ns_reference) /
-                  static_cast<double>(wall_ns_event));
-  std::printf("event + macro-step: %10.3f ms   (%.2fx wall-clock)\n",
+  std::printf("fast path:          %10.3f ms   (%.2fx wall-clock)\n",
               static_cast<double>(wall_ns_fast) / 1e6, wall_speedup);
 
-  // One untimed event-kernel run on a kept-alive engine so the
+  // One untimed fast-path run on a kept-alive engine so the
   // observability export below reads per-device utilization and latency.
   engine::EngineConfig fast_cfg = base;
   fast_cfg.num_devices = 4;
@@ -243,30 +204,13 @@ int main(int argc, char** argv) {
   report.metric("wall_ns_reference", static_cast<double>(wall_ns_reference));
   report.metric("wall_speedup", wall_speedup);
   // Host wall-clock keys (informational, machine-dependent — see
-  // tools/bench_compare.py): the other strategies' minima, plus the
-  // median/stddev of every strategy's sample set so a flapping CI number
-  // can be told apart from a real regression without a rerun.
-  report.metric("host_wall_ns_legacy", static_cast<double>(wall_ns_legacy));
-  report.metric("host_wall_ns_event", static_cast<double>(wall_ns_event));
-  report.metric("host_wall_event_vs_legacy",
-                static_cast<double>(wall_ns_legacy) /
-                    static_cast<double>(wall_ns_event));
-  report.metric("host_wall_macro_vs_event",
-                static_cast<double>(wall_ns_event) /
-                    static_cast<double>(wall_ns_fast));
-  const struct {
-    const char* key;
-    const decltype(ref_stats)& stats;
-  } kWallKeys[] = {{"reference", ref_stats},
-                   {"legacy", legacy_stats},
-                   {"event", event_stats},
-                   {"macro", macro_stats}};
-  for (const auto& w : kWallKeys) {
-    report.metric(std::string("host_wall_ns_") + w.key + "_median",
-                  w.stats.median);
-    report.metric(std::string("host_wall_ns_") + w.key + "_stddev",
-                  w.stats.stddev);
-  }
+  // tools/bench_compare.py): the median/stddev of both sample sets so a
+  // flapping CI number can be told apart from a real regression without
+  // a rerun.
+  report.metric("host_wall_ns_reference_median", ref_stats.median);
+  report.metric("host_wall_ns_reference_stddev", ref_stats.stddev);
+  report.metric("host_wall_ns_macro_median", fast_stats.median);
+  report.metric("host_wall_ns_macro_stddev", fast_stats.stddev);
   // Engine observability export (informational keys, not regression-gated;
   // bench_compare.py reports candidate-only keys without failing).
   report_engine_metrics(report, fast_eng.metrics(), "k4_nbt");

@@ -16,6 +16,8 @@ struct AlignResult {
   bool ok = false;
   score_t score = 0;
   Cigar cigar;  ///< empty when backtrace was not requested
+
+  bool operator==(const AlignResult&) const = default;
 };
 
 /// Whether an aligner should produce the edit transcript or just the score

@@ -39,6 +39,8 @@ struct BtCpuCounters {
   std::uint64_t blocks_copied = 0;   ///< data-separation copies (multi-Aligner)
   std::uint64_t path_steps = 0;      ///< origin-decode steps
   std::uint64_t match_chars = 0;     ///< match-insertion characters
+
+  bool operator==(const BtCpuCounters&) const = default;
 };
 
 class CpuModel {

@@ -130,13 +130,12 @@ RunStatus Driver::classify(std::uint64_t cycles, bool completed) const {
 
 RunStatus Driver::wait_core(const std::function<bool()>& done,
                             std::uint64_t max_cycles) {
-  // Event-driven wait instead of one virtual step() per cycle: the
-  // accelerator advances event to event (bulk-advancing quiet spans) and
-  // evaluates the predicate wherever simulated state can change, so the
-  // stop cycle is identical to per-cycle polling while a wait costs
-  // O(events). Both wait conditions (Idle, interrupt pending) flip only
-  // when the accelerator leaves the running state — an active-cycle
-  // boundary by definition. While already idle with nothing scheduled,
+  // Fast-path wait instead of one virtual step() per cycle: the
+  // accelerator skips quiet spans and fuses macro-steps, and evaluates
+  // the predicate wherever simulated state can change, so the stop cycle
+  // is identical to per-cycle polling. Both wait conditions (Idle,
+  // interrupt pending) flip only when the accelerator leaves the running
+  // state — an active-cycle boundary by definition. While already idle with nothing scheduled,
   // the remaining budget is burned in one bulk advance, exactly as the
   // per-cycle loop would count it.
   const sim::cycle_t begin = accelerator_.now();

@@ -129,10 +129,10 @@ class Driver {
   /// wait_idle with periodic checkpointing: advances the device in
   /// `checkpoint_interval`-cycle slices and snapshots it at every slice
   /// boundary the run is still in flight. Every slice boundary is a safe
-  /// point — the stepping entry points flush event bookkeeping on exit —
-  /// so the capture never perturbs the simulation: the final state,
+  /// point — the fast path defers no component state past a stepping
+  /// call — so the capture never perturbs the simulation: the final state,
   /// classification and PMU numbers are bit-identical to a plain
-  /// wait_idle under every stepping strategy. Loss after a failure is
+  /// wait_idle under either stepping strategy. Loss after a failure is
   /// bounded by the interval, not the batch length.
   CheckpointRun wait_idle_checkpointed(
       std::uint64_t checkpoint_interval,

@@ -80,6 +80,8 @@ struct BatchResult {
   /// only ok/score are populated.
   std::vector<core::AlignResult> alignments;
   cpu::BtCpuCounters bt_counters;
+
+  bool operator==(const BatchResult&) const = default;
 };
 
 /// One finished job, reported through AlignmentBackend::drain.

@@ -165,9 +165,9 @@ bool HwBackend::poll() {
 
     // One bounded run-until-idle slice. The quantum caps how much device
     // time one poll may consume (the engine interleaves several device
-    // simulations); inside the slice the accelerator's event kernel
-    // advances event to event, so a quantum costs O(events), not
-    // O(poll_quantum) virtual ticks.
+    // simulations); inside the slice the accelerator's fast path skips
+    // quiet spans and fuses macro-steps, so a quantum costs far fewer
+    // than poll_quantum rounds of virtual ticks.
     accelerator_->step_many(cfg_.poll_quantum);
     maybe_checkpoint();
     const std::uint64_t elapsed =

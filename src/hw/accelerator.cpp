@@ -37,34 +37,6 @@ Accelerator::Accelerator(AcceleratorConfig cfg, mem::MainMemory& memory)
   // what the other components do.
   scheduler_.add(pmu_probe_.get(), /*needs_commit=*/false);
 
-  // Wakeup graph for the event kernel: an edge from every component whose
-  // non-quiet tick can invalidate another's quiet_for() report. Delays
-  // (same cycle vs next) fall out of the registration order above.
-  //  - DMA pushes the Input FIFO: the Extractor (earlier in order, sees it
-  //    next cycle) and the occupancy probe depend on it.
-  scheduler_.add_wakeup(dma_.get(), extractor_.get());
-  scheduler_.add_wakeup(dma_.get(), pmu_probe_.get());
-  //  - The Extractor pops the Input FIFO (DMA read stream un-stalls, probe
-  //    occupancy changes, both same cycle) and loads Aligners (visible to
-  //    each Aligner next cycle).
-  scheduler_.add_wakeup(extractor_.get(), dma_.get());
-  scheduler_.add_wakeup(extractor_.get(), pmu_probe_.get());
-  for (auto& aligner : aligners_) {
-    scheduler_.add_wakeup(extractor_.get(), aligner.get());
-    //  - An Aligner releases result transactions into its Collector-facing
-    //    queues (Collector is earlier: next cycle) and can go idle, which
-    //    un-blocks the Extractor's wait-for-aligner sleep (same cycle).
-    //    No Collector->Aligner edge is needed: an Aligner stalled on a
-    //    full queue reports quiet_for() == 0 and never sleeps through the
-    //    stall.
-    scheduler_.add_wakeup(aligner.get(), collector_.get());
-    scheduler_.add_wakeup(aligner.get(), extractor_.get());
-  }
-  //  - The Collector pushes the Output FIFO: the DMA write side drains it
-  //    the same cycle; the probe samples it.
-  scheduler_.add_wakeup(collector_.get(), dma_.get());
-  scheduler_.add_wakeup(collector_.get(), pmu_probe_.get());
-
   // Observability wiring: one trace track per unit plus a top-level run
   // track. The sink is enabled by config (or later at runtime); with it
   // off every emit site is a single pointer-and-flag test.
@@ -232,7 +204,6 @@ PerfSnapshot Accelerator::perf_counters_raw() const {
   // reads at kRegEccCount / kRegErrCount.
   s.ecc_corrected = ecc_corrected_total() - ecc_count_base_;
   s.err_count = err_count_;
-  s.host_idle_skipped_cycles = host_skipped_cycles_;
   return s;
 }
 
@@ -300,10 +271,6 @@ void Accelerator::abort_run(std::uint32_t cause) {
 }
 
 void Accelerator::flush_pipeline() {
-  // Mid-run flushes (abort paths) mutate component state outside any tick:
-  // settle pending lazy catch-ups against the pre-flush state first, and
-  // drop sleep schedules that the flush is about to invalidate.
-  scheduler_.resync_events();
   dma_->abort();
   input_fifo_.clear();
   output_fifo_.clear();
@@ -349,10 +316,6 @@ void Accelerator::step() {
     }
   }
   scheduler_.step();
-  post_cycle_checks();
-}
-
-void Accelerator::post_cycle_checks() {
   if (!running_) return;
   if (dma_->bus_error()) {
     abort_run(kErrDma);
@@ -404,57 +367,20 @@ std::uint64_t Accelerator::advance_core(std::uint64_t max_cycles,
     if (done != nullptr && (*done)()) break;
     if (!idle_skip_allowed() || (running_ && !checked)) {
       // Exact per-cycle stepping: forced mode (injector / armed watchdog)
-      // or the not-yet-checked entry cycle. step_n inside flushes any
-      // armed event bookkeeping first, so mixing modes within one call
-      // (e.g. watchdog-armed run, then event-kernel idle burn) stays
-      // bit-identical.
+      // or the not-yet-checked entry cycle.
       step();
       ++stepped;
       checked = true;
       continue;
     }
-    if (cfg_.event_kernel) {
-      scheduler_.arm_events();
-      const sim::cycle_t next = scheduler_.next_event_cycle();
-      const sim::cycle_t now = scheduler_.now();
-      if (next > now) {
-        // Every component sleeps until `next` (or forever): bulk-advance.
-        // The skipped quiet cycles are accounted lazily at each
-        // component's next wake, or at the flush below.
-        const std::uint64_t span = std::min<std::uint64_t>(
-            next - now, max_cycles - stepped);
-        scheduler_.advance_to(now + span);
-        host_skipped_cycles_ += span;
-        stepped += span;
-        continue;
-      }
-      if (macro_step_allowed()) {
-        // Steady-state macro-step: when the wakeup graph proves a single
-        // component owns the coming span, one fused call advances it. The
-        // span is externally invisible by the macro_step() contract, so
-        // none of the post-cycle check conditions (bus error, completion,
-        // watchdog — disarmed here by idle_skip_allowed()) can flip inside
-        // it; the boundary tick that follows runs through the normal
-        // run_event_cycle() + post_cycle_checks() path below.
-        const sim::cycle_t span =
-            scheduler_.try_macro_step(max_cycles - stepped);
-        if (span > 0) {
-          host_skipped_cycles_ += span;
-          stepped += span;
-          continue;
-        }
-      }
-      scheduler_.run_event_cycle();
-      post_cycle_checks();
-      ++stepped;
-      continue;
-    }
-    const sim::cycle_t quiet = scheduler_.quiescent_cycles();
-    if (quiet > 0) {
-      const std::uint64_t span =
-          std::min<std::uint64_t>(quiet, max_cycles - stepped);
-      scheduler_.skip(span);
-      host_skipped_cycles_ += span;
+    // One quiescence probe: skip a span in which everything is quiet, or
+    // hand it to the one component that must tick as a macro-step. Both
+    // spans are externally invisible, so none of the post-cycle check
+    // conditions (bus error, completion, watchdog — disarmed here by
+    // idle_skip_allowed()) can flip inside them.
+    const sim::cycle_t span =
+        scheduler_.fast_advance(max_cycles - stepped, macro_step_allowed());
+    if (span > 0) {
       stepped += span;
       stride = 1;
       continue;
@@ -462,7 +388,7 @@ std::uint64_t Accelerator::advance_core(std::uint64_t max_cycles,
     // Non-quiescent boundary: replay exactly. Consecutive failed probes
     // widen the replay burst (up to 64 cycles) so boundary-dense phases
     // are not dominated by quiescence probing; a burst only delays the
-    // next skip opportunity, never changes what is simulated.
+    // next fast-path opportunity, never changes what is simulated.
     std::uint64_t burst = std::min<std::uint64_t>(stride, max_cycles - stepped);
     for (; burst > 0; --burst) {
       step();
@@ -474,9 +400,6 @@ std::uint64_t Accelerator::advance_core(std::uint64_t max_cycles,
     if (burst > 0) break;  // inner early-stop
     if (stride < 64) stride *= 2;
   }
-  // External observers (register reads, PMU snapshots, test introspection)
-  // must see fully-synced component state between advance calls.
-  scheduler_.flush_events();
   return stepped;
 }
 
@@ -525,10 +448,10 @@ enum SnapshotSection : std::uint32_t {
 
 /// The structural-configuration signature: every AcceleratorConfig field
 /// that shapes architectural state, written field by field so a mismatch
-/// is detected before any device state is touched. Stepping-strategy knobs
-/// (idle_skip / event_kernel / macro_step) and trace are deliberately
-/// excluded — they never change architectural state, and excluding them is
-/// what lets a checkpoint taken under one strategy resume under another.
+/// is detected before any device state is touched. The stepping knob
+/// (idle_skip) and trace are deliberately excluded — they never change
+/// architectural state, and excluding them is what lets a checkpoint taken
+/// under one strategy resume under the other.
 void save_config_signature(sim::SnapshotWriter& w,
                            const AcceleratorConfig& cfg,
                            std::uint64_t memory_bytes) {
@@ -623,9 +546,6 @@ void restore_fifo(sim::SnapshotReader& r,
 }  // namespace
 
 std::vector<std::uint8_t> Accelerator::snapshot() const {
-  WFASIC_REQUIRE(!scheduler_.events_armed(),
-                 "Accelerator::snapshot: not at a safe point (event "
-                 "bookkeeping is armed)");
   sim::SnapshotWriter w(kSnapshotMagic, kSnapshotVersion);
   save_config_signature(w, cfg_, memory_.size());
 
@@ -635,6 +555,7 @@ std::vector<std::uint8_t> Accelerator::snapshot() const {
   w.u64(stats.ticks);
   w.u64(stats.macro_dispatches);
   w.u64(stats.macro_cycles);
+  w.u64(stats.skipped_cycles);
 
   w.section(kSecRun);
   w.boolean(regs_.backtrace);
@@ -652,7 +573,6 @@ std::vector<std::uint8_t> Accelerator::snapshot() const {
   for (std::uint32_t i = 0; i < kNumPerfCounters; ++i) {
     w.u64(perf_base_.counter(static_cast<PerfIdx>(i)));
   }
-  w.u64(host_skipped_cycles_);
   w.u32(err_status_);
   w.u32(err_count_);
   w.u64(ecc_count_base_);
@@ -703,14 +623,13 @@ std::optional<sim::SnapshotError> Accelerator::restore(
     (void)r.fail(sim::SnapshotError::kConfigMismatch);
     return r.error();
   }
-  scheduler_.flush_events();  // snapshot() REQUIREs; restore tolerates
-
   (void)r.section(kSecScheduler);
   const sim::cycle_t now = r.u64();
   sim::Scheduler::DispatchStats stats;
   stats.ticks = r.u64();
   stats.macro_dispatches = r.u64();
   stats.macro_cycles = r.u64();
+  stats.skipped_cycles = r.u64();
   if (!r.ok()) return r.error();
   scheduler_.restore_clock(now, stats);
 
@@ -732,7 +651,6 @@ std::optional<sim::SnapshotError> Accelerator::restore(
     base.set_counter(static_cast<PerfIdx>(i), r.u64());
   }
   perf_base_ = base;
-  host_skipped_cycles_ = r.u64();
   err_status_ = r.u32();
   err_count_ = r.u32();
   ecc_count_base_ = r.u64();

@@ -84,7 +84,7 @@ class Accelerator {
   /// Snapshot blob format identity (sim/snapshot.hpp): bump the version on
   /// any layout change so stale blobs are rejected, never misdecoded.
   static constexpr std::uint32_t kSnapshotMagic = 0x4e534657;  // "WFSN"
-  static constexpr std::uint32_t kSnapshotVersion = 1;
+  static constexpr std::uint32_t kSnapshotVersion = 2;
   /// Salt for the blob-trailer CRC. Fixed at compile time: the reader must
   /// know it before a single payload byte is decoded, so it cannot come
   /// from any register. Non-zero so an unsalted CRC-32 of the payload does
@@ -95,11 +95,10 @@ class Accelerator {
   /// clock, register file, run state, PMU baselines, FIFOs, DMA,
   /// Extractor, Aligners (wavefront RAM contents included), Collector and
   /// the main-memory working set — into a versioned, CRC-protected blob.
-  /// Only legal at a safe point: between advance calls (every public
-  /// stepping entry point flushes event bookkeeping on exit), which is
-  /// where drv/engine checkpointing calls it. Restoring the blob onto a
-  /// structurally identical device resumes bit-identically under every
-  /// stepping strategy (docs/RELIABILITY.md §7).
+  /// Taken between advance calls, which is where drv/engine checkpointing
+  /// calls it. Restoring the blob onto a structurally identical device
+  /// resumes bit-identically under either stepping strategy
+  /// (docs/RELIABILITY.md §7).
   [[nodiscard]] std::vector<std::uint8_t> snapshot() const;
 
   /// Applies a snapshot blob. Header, CRC, version and config-signature
@@ -136,8 +135,8 @@ class Accelerator {
   /// simulated state can change — after every active cycle and around
   /// bulk-advanced quiet spans — against fully-synced component state, so
   /// the stop cycle is bit-identical to checking after every step(). This
-  /// is the driver wait-loop primitive: under the event kernel a wait
-  /// costs O(events), not O(cycles).
+  /// is the driver wait-loop primitive: on the fast path a wait costs one
+  /// probe per quiet span or macro-step, not one step() per cycle.
   std::uint64_t run_until_event(const std::function<bool()>& done,
                                 std::uint64_t max_cycles);
 
@@ -162,9 +161,8 @@ class Accelerator {
   }
   /// All pair results across all Aligners, in completion order per Aligner.
   [[nodiscard]] std::vector<Aligner::PairRecord> all_records() const;
-  /// Kernel dispatch accounting (per-component tick count, macro-step
-  /// grants and the cycles they covered) — the bench/sim_kernel
-  /// dispatches-per-simulated-cycle metric reads this.
+  /// Host-side kernel accounting: per-component tick count, macro-step
+  /// grants and the cycles they covered, and the cycles skipped as quiet.
   [[nodiscard]] const sim::Scheduler::DispatchStats& dispatch_stats() const {
     return scheduler_.dispatch_stats();
   }
@@ -221,37 +219,29 @@ class Accelerator {
   void soft_reset();
   /// Gathers the monotone hardware counters (not yet rebased to the run).
   [[nodiscard]] PerfSnapshot perf_counters_raw() const;
-  /// True when a stepping fast path may replace exact stepping: never
-  /// with a fault injector attached (per-cycle beat faults, memory flips
-  /// and FIFO stall probes need every cycle), never while a run has the
-  /// no-progress watchdog armed (its firing cycle must stay exact). Which
-  /// fast path — event kernel or legacy quiescence skip — is then chosen
-  /// by AcceleratorConfig::event_kernel.
+  /// True when the fast path may replace exact stepping: never with a
+  /// fault injector attached (per-cycle beat faults, memory flips and
+  /// FIFO stall probes need every cycle), never while a run has the
+  /// no-progress watchdog armed (its firing cycle must stay exact).
+  /// Evaluated at every probe, so demotion to exact stepping happens the
+  /// exact cycle a disqualifier appears.
   [[nodiscard]] bool idle_skip_allowed() const {
     return cfg_.idle_skip && injector_ == nullptr &&
            !(running_ && regs_.watchdog != 0);
   }
-  /// Steady-state predicate for compiled macro-steps, evaluated at every
-  /// event-branch iteration so demotion to per-cycle stepping happens the
-  /// exact cycle a disqualifier appears: everything idle_skip_allowed()
-  /// requires (no fault injector — it needs every cycle for beat faults
-  /// and stall probes — and no armed watchdog, whose firing cycle must
-  /// stay exact), plus no ECC/CRC checking active (an uncorrectable-upset
-  /// poison must be handled on its own tick, and CRC-protected streams
-  /// keep the Extractor/Collector checking per beat).
+  /// The extra veto for macro-steps on top of idle_skip_allowed(): no
+  /// ECC/CRC checking active (an uncorrectable-upset poison must be
+  /// handled on its own tick, and CRC-protected streams keep the
+  /// Extractor/Collector checking per beat).
   [[nodiscard]] bool macro_step_allowed() const {
-    return cfg_.macro_step && !cfg_.ecc && !cfg_.crc;
+    return !cfg_.ecc && !cfg_.crc;
   }
-  /// step()'s post-tick checks (DMA bus error, uncorrectable ECC, work
-  /// completion, watchdog), shared with the event-kernel cycle path.
-  void post_cycle_checks();
-  /// Shared fast-path loop behind step_many/advance/run_to_completion/
-  /// run_until_event. Under the event kernel: evaluates only due
-  /// components at active cycles and bulk-advances between events. Under
-  /// the legacy kernel: skips system-wide quiescent spans, replays
-  /// boundary cycles exactly via step(), and re-probes quiescence on a
-  /// coarser grid (doubling stride, capped) after failed probes. Exact
-  /// per-cycle stepping whenever no fast path is allowed. `done`, when
+  /// Shared stepping loop behind step_many/advance/run_to_completion/
+  /// run_until_event. On the fast path each probe (Scheduler::
+  /// fast_advance) skips a quiescent span or grants a macro-step; a
+  /// failed probe replays the boundary exactly via step() and re-probes
+  /// on a coarser grid (doubling stride, capped). Exact per-cycle
+  /// stepping whenever the fast path is not allowed. `done`, when
   /// non-null, is an additional stop predicate checked wherever simulated
   /// state can change.
   std::uint64_t advance_core(std::uint64_t max_cycles, bool stop_when_idle,
@@ -283,7 +273,6 @@ class Accelerator {
   sim::TraceSink trace_;
   std::uint32_t trace_track_ = 0;  ///< the top-level "accelerator" track
   PerfSnapshot perf_base_;         ///< Start-time snapshot (counters clear)
-  std::uint64_t host_skipped_cycles_ = 0;
 
   RegValues regs_;
   bool running_ = false;

@@ -508,7 +508,7 @@ sim::cycle_t Aligner::quiet_for(sim::cycle_t /*now*/) const {
   switch (state_) {
     case State::kIdle:
     case State::kLoading:
-      return kQuietForever;  // woken by the Extractor, not by a tick
+      return kQuietForever;  // loaded by the Extractor, not by a tick
     case State::kInit:
       return init_countdown_;  // pure countdown; boundary starts alignment
     case State::kRun:

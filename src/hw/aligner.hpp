@@ -91,6 +91,8 @@ class Aligner final : public sim::Component {
     bool success = false;
     score_t score = 0;
     std::uint64_t align_cycles = 0;  ///< finish_load to result queued
+
+    bool operator==(const PairRecord&) const = default;
   };
   [[nodiscard]] const std::vector<PairRecord>& records() const {
     return records_;
@@ -105,6 +107,8 @@ class Aligner final : public sim::Component {
     std::uint64_t extend = 0;    ///< Extend sub-module batches
     std::uint64_t compute = 0;   ///< Compute sub-module batches
     std::uint64_t overhead = 0;  ///< per-score bookkeeping, null scores
+
+    bool operator==(const PhaseCycles&) const = default;
   };
   [[nodiscard]] const PhaseCycles& phase_cycles() const {
     return phase_cycles_;
@@ -131,10 +135,9 @@ class Aligner final : public sim::Component {
   // can be bulk-applied; any tick that releases transactions, pops a
   // batch with observable consequences, or runs step_score() is a
   // boundary and reports 0. Finite reports depend only on this Aligner's
-  // own schedule, so they cannot be invalidated early; kIdle/kLoading
-  // sleeps end only via the Extractor's dispatch, a declared wakeup edge.
-  // A stall on a full Collector-facing queue reports 0 (not forever), so
-  // no Collector->Aligner edge is needed.
+  // own schedule, so they cannot be invalidated early; kIdle/kLoading end
+  // only via the Extractor's dispatch, a non-quiet Extractor tick. A stall
+  // on a full Collector-facing queue reports 0 (not forever).
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t now) const override;
   void skip_quiet(sim::cycle_t n) override;
 

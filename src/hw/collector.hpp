@@ -150,11 +150,10 @@ class Collector final : public sim::Component {
 
   // Quiescence contract (see sim::Component): the Collector acts only
   // when an Aligner queue holds work or its merge buffer must flush; both
-  // appear via non-quiet Aligner boundaries, so "nothing to do" means
-  // quiet until woken — every Aligner is a declared waker in the event
-  // kernel's wakeup graph, so the kQuietForever report stays valid for
-  // exactly as long as the contract requires. No counters accrue while
-  // idle (skip_quiet is the inherited no-op).
+  // appear via non-quiet Aligner boundaries, so "nothing to do" is a
+  // kQuietForever report that stays valid for exactly as long as the
+  // contract requires. No counters accrue while idle (skip_quiet is the
+  // inherited no-op).
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t /*now*/) const override {
     if (bt_mode_) {
       if (!footers_.empty()) return 0;  // a CRC footer moves this cycle

@@ -1,32 +1,14 @@
 // Static configuration of the WFAsic accelerator model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "mem/axi.hpp"
 
 namespace wfasic::hw {
-
-/// Build-time default for AcceleratorConfig::event_kernel, overridable via
-/// the WFASIC_EVENT_KERNEL environment variable ("0" forces the legacy
-/// global-quiescence skip, anything else forces the event kernel) so CI can
-/// run the whole test suite under both kernels without code changes.
-[[nodiscard]] inline bool event_kernel_default() {
-  const char* const env = std::getenv("WFASIC_EVENT_KERNEL");
-  return env == nullptr || env[0] != '0';
-}
-
-/// Build-time default for AcceleratorConfig::macro_step, overridable via
-/// the WFASIC_MACRO_STEP environment variable ("0" disables compiled
-/// macro-steps, anything else enables them) so CI can run the whole test
-/// suite with the fused fast path forced on and off.
-[[nodiscard]] inline bool macro_step_default() {
-  const char* const env = std::getenv("WFASIC_MACRO_STEP");
-  return env == nullptr || env[0] != '0';
-}
 
 /// Microarchitectural timing of one Aligner, calibrated against Table 1 of
 /// the paper (see DESIGN.md §4 for the calibration):
@@ -66,36 +48,18 @@ struct AcceleratorConfig {
   /// reads whose mutations drift past 10,000 bases still fit.
   std::uint32_t max_supported_read_len = 10'240;
 
-  /// Host-simulation knob (not a hardware parameter): master switch for
-  /// the stepping fast paths. Off = exact per-cycle stepping (the
-  /// differential-testing reference). On, the kernel selected by
-  /// `event_kernel` below replaces exact stepping wherever allowed.
-  /// Bit-identical either way — simulated cycle counts, records, memory
-  /// contents and PMU counters do not change (enforced by
-  /// tests/test_perf_equivalence); only host wall-clock does. Ignored
-  /// (exact stepping) whenever a fault injector is attached or the
-  /// watchdog is armed during a run.
+  /// Host-simulation knob (not a hardware parameter): exact vs fast
+  /// stepping. Off = exact per-cycle stepping (the differential-testing
+  /// reference). On = the fast path (docs/PERFORMANCE.md §1–2): each
+  /// quiescence probe skips a span in which every component is quiet,
+  /// grants a fused macro-step to the one component that must tick, or
+  /// replays the boundary exactly. Bit-identical either way — simulated
+  /// cycle counts, records, memory contents and PMU counters do not
+  /// change (enforced by tests/test_perf_equivalence); only host
+  /// wall-clock does. Ignored (exact stepping) whenever a fault injector
+  /// is attached or the watchdog is armed during a run; macro-steps are
+  /// additionally vetoed while ECC or CRC checking is on.
   bool idle_skip = true;
-
-  /// Which fast path `idle_skip` uses: true = event-driven kernel
-  /// (components self-schedule activations, wakeup graph, bulk-advance
-  /// between events — O(active components) per cycle); false = legacy
-  /// global-quiescence skip (O(N) quiet_for poll, skips only when every
-  /// component is simultaneously quiet). Both bit-identical to exact
-  /// stepping; the event kernel is strictly faster under load. See
-  /// docs/PERFORMANCE.md §1.
-  bool event_kernel = event_kernel_default();
-
-  /// Compiled steady-state macro-steps on top of the event kernel
-  /// (docs/PERFORMANCE.md §2): when the wakeup graph proves a component is
-  /// alone in its steady state, the kernel dispatches one fused transition
-  /// covering many cycles (the Aligner runs its whole wavefront-score
-  /// inner loop without per-cycle re-dispatch). Requires `event_kernel`;
-  /// demoted to per-cycle stepping under the same conditions as
-  /// `idle_skip` (fault injector attached, watchdog armed) and whenever
-  /// ECC/CRC checking is active. Bit-identical to exact stepping —
-  /// enforced by the four-strategy matrix in tests/test_perf_equivalence.
-  bool macro_step = macro_step_default();
 
   /// Data-integrity knobs (docs/RELIABILITY.md). Both default off so the
   /// paper-fidelity data formats and cycle counts are untouched; fault

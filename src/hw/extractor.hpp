@@ -70,6 +70,8 @@ class Extractor final : public sim::Component {
     std::uint64_t reading_cycles = 0;  ///< first to last beat of the pair
     std::uint64_t beats = 0;           ///< 16-byte transactions consumed
     std::uint64_t wait_for_aligner_cycles = 0;
+
+    bool operator==(const PairReadRecord&) const = default;
   };
   [[nodiscard]] const std::vector<PairReadRecord>& records() const {
     return records_;
@@ -176,12 +178,11 @@ class Extractor final : public sim::Component {
 
   // Quiescence contract (see sim::Component): the Extractor has no
   // self-scheduled events — it is driven entirely by Input-FIFO pushes
-  // (DMA) and Aligners going idle, both of which are non-quiet boundaries
-  // of their own components and both declared as wakeup edges in the
-  // event kernel, so a kQuietForever report here is safe: nothing can
-  // make this component non-quiet without waking it first. The only
-  // per-cycle effect while waiting for an Aligner is the wait counter,
-  // bulk-applied by skip_quiet.
+  // (DMA) and Aligners going idle, both of which are non-quiet ticks of
+  // other components, so a kQuietForever report here is safe: nothing
+  // else can make this component non-quiet. The only per-cycle effect
+  // while waiting for an Aligner is the wait counter, bulk-applied by
+  // skip_quiet.
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t /*now*/) const override {
     if (done() || fifo_.empty()) return kQuietForever;
     if (!in_pair_ && find_idle_aligner() == nullptr) return kQuietForever;

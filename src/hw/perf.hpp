@@ -13,10 +13,9 @@
 // also maintained identically on the exact-stepping and idle-skip paths
 // (each component's skip_quiet applies the same linear updates its ticks
 // would have), so a snapshot is invariant across stepping strategies —
-// enforced by tests/test_observability.cpp. The one exception is
-// host_idle_skipped_cycles, a host-side diagnostic counting the cycles
-// the idle-skip fast path elided; it is zero by construction when
-// idle-skip is off.
+// enforced by tests/test_observability.cpp. The bank holds architectural
+// counters only: how many cycles the simulator's fast path skipped is
+// host-side accounting and lives in sim::Scheduler::DispatchStats.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +43,6 @@ enum class PerfIdx : std::uint32_t {
   kOutputFifoHighWater,         ///< output FIFO high-water mark (this run)
   kEccCorrected,                ///< ECC single-bit corrections (all RAMs)
   kErrCount,                    ///< errors latched (mirror of kRegErrCount)
-  kHostIdleSkippedCycles,       ///< host diagnostic: cycles elided by idle-skip
   kCount,
 };
 
@@ -75,7 +73,6 @@ inline constexpr const char* perf_counter_name(PerfIdx idx) {
     case PerfIdx::kOutputFifoHighWater: return "output_fifo_high_water";
     case PerfIdx::kEccCorrected: return "ecc_corrected";
     case PerfIdx::kErrCount: return "err_count";
-    case PerfIdx::kHostIdleSkippedCycles: return "host_idle_skipped_cycles";
     case PerfIdx::kCount: break;
   }
   return "?";
@@ -103,7 +100,6 @@ struct PerfSnapshot {
   std::uint64_t output_fifo_high_water = 0;
   std::uint64_t ecc_corrected = 0;
   std::uint64_t err_count = 0;
-  std::uint64_t host_idle_skipped_cycles = 0;
 
   bool operator==(const PerfSnapshot&) const = default;
 
@@ -129,7 +125,6 @@ struct PerfSnapshot {
       case PerfIdx::kOutputFifoHighWater: return output_fifo_high_water;
       case PerfIdx::kEccCorrected: return ecc_corrected;
       case PerfIdx::kErrCount: return err_count;
-      case PerfIdx::kHostIdleSkippedCycles: return host_idle_skipped_cycles;
       case PerfIdx::kCount: break;
     }
     return 0;
@@ -157,8 +152,6 @@ struct PerfSnapshot {
       case PerfIdx::kOutputFifoHighWater: output_fifo_high_water = v; return;
       case PerfIdx::kEccCorrected: ecc_corrected = v; return;
       case PerfIdx::kErrCount: err_count = v; return;
-      case PerfIdx::kHostIdleSkippedCycles:
-        host_idle_skipped_cycles = v; return;
       case PerfIdx::kCount: return;
     }
   }

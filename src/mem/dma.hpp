@@ -126,10 +126,10 @@ class Dma final : public sim::Component {
   // burns burst latency (a pure countdown) or has nothing to move — the
   // only other per-cycle effects are the stall counters, which skip_quiet
   // bulk-applies. Any cycle that touches a FIFO or memory reports 0.
-  // The kQuietForever reports stay valid until a declared waker acts:
+  // The kQuietForever reports stay valid until another component acts:
   // "both streams idle" ends only when a register write launches a run
-  // (the scheduler is resynced outside any tick), and "input FIFO full"
-  // ends only when the Extractor — a registered waker — pops a beat.
+  // (outside any tick), and "input FIFO full" ends only when the
+  // Extractor pops a beat.
   [[nodiscard]] sim::cycle_t quiet_for(sim::cycle_t /*now*/) const override {
     if (!output_fifo_.empty()) return 0;  // a write beat moves this cycle
     if (read_beats_left_ == 0) return kQuietForever;  // both streams idle

@@ -1,5 +1,4 @@
-// Simulation kernel: per-cycle two-phase stepping plus an event-driven
-// fast path.
+// Simulation kernel: per-cycle two-phase stepping plus one fast path.
 //
 // Components register with a Scheduler and are ticked once per cycle in two
 // phases: tick() (combinational work / issue requests) then commit()
@@ -8,29 +7,18 @@
 //
 // Quiescence protocol: a component may report a span of upcoming cycles
 // whose ticks are no-ops or pure linear counter updates (countdowns, stall
-// counters) via quiet_for(), and apply them in bulk via skip_quiet().
-// Two fast paths build on it, both bit-identical to exact stepping by
-// construction:
+// counters) via quiet_for(), and apply them in bulk via skip_quiet(). It
+// may also fuse a span of its own externally invisible ticks into one
+// macro_step() call. The fast path (Scheduler::fast_advance) polls every
+// component's quiet_for() once per probe and then either
 //
-//   - Idle-skip (legacy): when *every* component is simultaneously quiet
-//     (quiescent_cycles(), an O(N) poll) the span is compressed into one
-//     skip() call.
-//   - Event-driven kernel: each component self-schedules its next
-//     activation (next_activation() = now + quiet_for()), the Scheduler
-//     keeps a min-heap of pending activations plus an explicit wakeup
-//     graph (add_wakeup()), and per-cycle work becomes O(active
-//     components): a busy Aligner no longer forces ticks of an idle DMA or
-//     Collector, and fully-quiet spans bulk-advance straight to the next
-//     event without polling anyone. Sleeping components are caught up
-//     lazily (on_wake()/skip_quiet()) *before* a waker mutates shared
-//     state, so their bulk updates read exactly the state the skipped
-//     per-cycle ticks would have read.
+//   - skips a span in which every component is quiet (one skip() call),
+//   - grants a macro-step to the single component that must tick, with
+//     the budget capped by everyone else's report; the others then
+//     skip_quiet() the cycles it consumed, or
+//   - declines, and the caller steps the boundary cycle exactly.
 //
-// Wakeup-edge delays are derived from registration order: a mutation by
-// component F during its tick at cycle t is visible to a *later*-registered
-// component in the same cycle (delay 0 — per-cycle mode would tick it after
-// F), but only at t+1 to an *earlier*-registered one (delay 1 — its cycle-t
-// tick already conceptually happened before F's).
+// Both advances are bit-identical to exact stepping by construction.
 #pragma once
 
 #include <algorithm>
@@ -49,8 +37,8 @@ namespace wfasic::sim {
 /// Base class for everything that owns per-cycle behaviour.
 class Component {
  public:
-  /// quiet_for() return value meaning "idle until some other component
-  /// wakes me" (no self-scheduled event of my own).
+  /// quiet_for() return value meaning "idle until another component acts"
+  /// (no self-scheduled event of my own).
   static constexpr cycle_t kQuietForever =
       std::numeric_limits<cycle_t>::max();
 
@@ -70,46 +58,33 @@ class Component {
   /// FIFO/queue push or pop, no state-machine transition, no interaction
   /// with another component. 0 means "I must tick this cycle" (the safe
   /// default); kQuietForever means "idle until another component acts".
-  /// The report must stay valid until one of the component's declared
-  /// wakers (Scheduler::add_wakeup) performs a non-quiet tick — that is
-  /// what lets the event kernel sleep on it.
+  /// The report must stay valid until another component performs a
+  /// non-quiet tick (a macro-step's fused span does not count: it is
+  /// externally invisible by contract).
   [[nodiscard]] virtual cycle_t quiet_for(cycle_t now) const {
     (void)now;
     return 0;
   }
   /// Applies `n` ticks' worth of quiet updates in bulk. Called only with
-  /// n <= the component's own quiet_for() report, and only when no waker
-  /// acted inside the span (the state the skipped ticks would have read is
-  /// still in place).
+  /// n <= the component's own quiet_for() report, and only when no other
+  /// component acted visibly inside the span (the state the skipped ticks
+  /// would have read is still in place).
   virtual void skip_quiet(cycle_t n) { (void)n; }
 
-  /// Self-scheduling contract, event-kernel view of quiet_for(): the
-  /// absolute cycle of this component's next required tick (kQuietForever
-  /// when it has none and waits to be woken).
-  [[nodiscard]] cycle_t next_activation(cycle_t now) const {
-    const cycle_t q = quiet_for(now);
-    return q >= kQuietForever - now ? kQuietForever : now + q;
-  }
-  /// Catch-up entry point the event kernel uses when a sleeping component
-  /// must account `n` elapsed quiet cycles (a waker is about to act, or
-  /// the kernel is flushing). Defaults to skip_quiet(); a component could
-  /// override it to distinguish lazy catch-up from eager skipping.
-  virtual void on_wake(cycle_t n) { skip_quiet(n); }
-
-  /// Compiled macro-step contract (the steady-state fast path above the
-  /// event kernel): advance up to `budget` cycles of this component's own
+  /// Compiled macro-step contract (the steady-state half of the fast
+  /// path): advance up to `budget` cycles of this component's own
   /// behaviour in one fused call, and return the cycles actually consumed
   /// (0 = not applicable here, fall back to per-cycle stepping).
   ///
-  /// The Scheduler only calls this across spans where no other registered
-  /// component can act (Scheduler::try_macro_step), so the implementation
-  /// may run its hot loop without re-checking FIFO handshakes or waker
-  /// state. In exchange it must guarantee, for the consumed span:
+  /// The Scheduler only calls this when every other registered component
+  /// reports quiet for at least `budget` cycles (Scheduler::fast_advance),
+  /// so the implementation may run its hot loop without re-checking FIFO
+  /// handshakes. In exchange it must guarantee, for the consumed span:
   ///   - no externally-visible effect: nothing another component or the
   ///     host could observe (queue/FIFO pushes, idle() flips, interrupt
   ///     conditions) happens inside the span — the fused loop stops one
   ///     cycle *before* its first externally-visible tick, which then runs
-  ///     as a normal tick() and issues wakeups;
+  ///     as a normal tick();
   ///   - observational identity: at span end, every externally-queriable
   ///     value (counters, quiet_for() schedule, results) reads exactly as
   ///     if the span had been stepped per cycle;
@@ -166,9 +141,6 @@ struct RunUntilResult {
 /// Advances a set of components cycle by cycle. Does not own them.
 class Scheduler {
  public:
-  /// `due` sentinel: no self-scheduled activation.
-  static constexpr cycle_t kNever = Component::kQuietForever;
-
   /// Registers a component. `needs_commit = false` keeps it off the
   /// commit-phase list (most components never override commit(); skipping
   /// the empty virtual call halves the per-cycle dispatch cost).
@@ -182,38 +154,18 @@ class Scheduler {
                    "registration would double-tick it)");
     components_.push_back(component);
     if (needs_commit) commit_list_.push_back(component);
-    needs_commit_.push_back(needs_commit);
-    edges_.emplace_back();
-    due_.push_back(now_);
-    synced_.push_back(now_);
-    last_ticked_.push_back(kNever);
-    must_tick_.push_back(0);
-  }
-
-  /// Declares a wakeup edge: whenever `from` performs a non-quiet tick,
-  /// `to` can no longer trust a pending quiet_for() report and must be
-  /// caught up and re-evaluated. The visibility delay (same cycle vs next
-  /// cycle) is derived from registration order — see the file comment.
-  /// Edges only matter to the event kernel; per-cycle stepping ignores
-  /// them.
-  void add_wakeup(Component* from, Component* to) {
-    const std::size_t f = index_of(from);
-    const std::size_t t = index_of(to);
-    WFASIC_REQUIRE(f != t, "Scheduler::add_wakeup: self edge is meaningless");
-    edges_[f].push_back(
-        WakeEdge{static_cast<std::uint32_t>(t), t > f ? 0u : 1u});
   }
 
   [[nodiscard]] cycle_t now() const { return now_; }
 
-  /// Kernel dispatch accounting (observational, never read by simulation
-  /// logic): how many tick() dispatches and fused macro-steps the kernel
-  /// issued. `ticks / simulated cycles` is the dispatch density the
-  /// bench/sim_kernel steady-graph metric tracks across strategies.
+  /// Host-side dispatch accounting (observational, never read by
+  /// simulation logic): how many tick() dispatches and fused macro-steps
+  /// the kernel issued, and how many cycles it skipped as quiet.
   struct DispatchStats {
     std::uint64_t ticks = 0;             ///< component tick() dispatches
     std::uint64_t macro_dispatches = 0;  ///< fused macro_step() calls
     std::uint64_t macro_cycles = 0;      ///< cycles consumed by macro-steps
+    std::uint64_t skipped_cycles = 0;    ///< cycles elided by skip()
   };
   [[nodiscard]] const DispatchStats& dispatch_stats() const { return stats_; }
 
@@ -223,7 +175,6 @@ class Scheduler {
   /// Runs exactly `n` cycles with the dispatch lists hoisted out of the
   /// per-cycle loop (the batched stepper behind driver/engine wait loops).
   void step_n(cycle_t n) {
-    if (events_armed_) flush_events();
     Component* const* tick_list = components_.data();
     const std::size_t tick_count = components_.size();
     Component* const* commit_list = commit_list_.data();
@@ -261,223 +212,60 @@ class Scheduler {
     WFASIC_REQUIRE(n < Component::kQuietForever - now_,
                    "Scheduler::skip: span would overflow the cycle counter "
                    "(a kQuietForever-sized span is not skippable)");
-    if (events_armed_) flush_events();
     for (Component* c : components_) c->skip_quiet(n);
     now_ += n;
+    stats_.skipped_cycles += n;
   }
 
-  // --- Event-driven kernel ---------------------------------------------------
-
-  /// Starts an event-driven run: every component is marked due now, so the
-  /// first run_event_cycle() re-evaluates the whole system and components
-  /// fall asleep according to their quiet_for() reports. No-op if already
-  /// armed. Cheap (O(N)) — callers arm at fast-path entry and flush at
-  /// exit so external observers only ever see fully-synced state.
-  void arm_events() {
-    if (events_armed_) return;
-    heap_.clear();
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-      due_[i] = now_;
-      synced_[i] = now_;
-      last_ticked_[i] = kNever;
-      must_tick_[i] = 0;
-    }
-    immediate_due_ = !components_.empty();
-    events_armed_ = true;
-  }
-
-  /// Ends an event-driven run: applies every pending lazy catch-up so all
-  /// component state (counters included) reads exactly as if the run had
-  /// been stepped per-cycle. Safe to call when not armed.
-  void flush_events() {
-    if (!events_armed_) return;
-    for (std::size_t i = 0; i < components_.size(); ++i) catch_up(i, now_);
-    heap_.clear();
-    immediate_due_ = false;
-    events_armed_ = false;
-  }
-
-  /// Re-synchronizes an armed event run after state is mutated from
-  /// outside any tick (pipeline flush, abort): pending quiet spans are
-  /// accounted against the pre-mutation state first, then every component
-  /// is marked due so stale sleep schedules cannot survive the mutation.
-  /// No-op when not armed (external mutation between runs needs nothing).
-  void resync_events() {
-    if (!events_armed_) return;
-    heap_.clear();
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-      catch_up(i, now_);
-      due_[i] = now_;
-      must_tick_[i] = 0;
-    }
-    immediate_due_ = !components_.empty();
-  }
-
-  [[nodiscard]] bool events_armed() const { return events_armed_; }
-
-  /// Snapshot restore (sim/snapshot.hpp): rewinds the clock and dispatch
-  /// accounting to a saved safe point. Only legal between event runs — at a
-  /// safe point all event bookkeeping is derivable from now_ (arm_events
-  /// rebuilds due_/synced_/heap_ from scratch), so the clock and stats are
-  /// the Scheduler's entire architectural state. The per-component arrays
-  /// are reset to the same just-armed baseline for hygiene.
-  void restore_clock(cycle_t now, const DispatchStats& stats) {
-    WFASIC_REQUIRE(!events_armed_,
-                   "Scheduler::restore_clock: events must be flushed first");
-    now_ = now;
-    stats_ = stats;
-    heap_.clear();
-    immediate_due_ = false;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-      due_[i] = now_;
-      synced_[i] = now_;
-      last_ticked_[i] = kNever;
-      must_tick_[i] = 0;
-    }
-  }
-
-  /// The earliest pending activation (kNever when every component sleeps
-  /// unwoken). Components due this very cycle are tracked with a flag
-  /// instead of heap entries (see set_due), so a steady-state pipeline —
-  /// everyone due every cycle — costs zero heap traffic. Stale heap
-  /// entries — superseded by an earlier wake or a reschedule — are
-  /// discarded lazily here.
-  [[nodiscard]] cycle_t next_event_cycle() {
-    WFASIC_ASSERT(events_armed_, "next_event_cycle: events not armed");
-    if (immediate_due_) return now_;
-    while (!heap_.empty()) {
-      const Event top = heap_.front();
-      if (due_[top.idx] == top.due) return top.due;
-      std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-      heap_.pop_back();
-    }
-    return kNever;
-  }
-
-  /// Bulk-advances simulated time to `target` without ticking anyone.
-  /// Only valid while armed and when next_event_cycle() >= target: every
-  /// component is inside a declared quiet span, and the skipped cycles are
-  /// accounted lazily at its next wake (or at flush_events()).
-  void advance_to(cycle_t target) {
-    WFASIC_ASSERT(events_armed_ && target >= now_ && target < kNever,
-                  "Scheduler::advance_to: bad target");
-    now_ = target;
-  }
-
-  /// Attempts one compiled macro-step. Grant rule (the wakeup-graph
-  /// steady-state predicate): exactly one component is due at now_ and
-  /// every other component's next activation is strictly later — then,
-  /// because wakes only originate from other components' non-quiet ticks,
-  /// no registered waker can act before the earliest other activation, and
-  /// the due component may advance up to that horizon (capped by
-  /// `max_span`) in one fused macro_step() call. Returns the cycles
-  /// consumed; 0 means no macro-step applied (two components due, the
-  /// component declined, or the budget is too small to beat a plain
-  /// tick) and the caller falls back to run_event_cycle().
-  ///
-  /// Other components' sleep schedules and synced_ marks stay untouched:
-  /// the span is externally invisible by the macro_step() contract, so the
-  /// state their lazy catch-ups will read is exactly the state the skipped
-  /// per-cycle ticks would have read (same argument as advance_to).
-  cycle_t try_macro_step(cycle_t max_span) {
-    WFASIC_ASSERT(events_armed_, "try_macro_step: events not armed");
-    if (max_span <= 1) return 0;
+  /// One fast-path probe of at most `max_span` cycles: a single quiet_for()
+  /// sweep, then
+  ///   - every component quiet: skip() the common span;
+  ///   - exactly one component reports 0 (and `allow_macro`): offer it a
+  ///     macro_step() with budget = min(max_span, the smallest other
+  ///     report). No other component can act before that horizon, and the
+  ///     fused span is externally invisible, so the others' reports stay
+  ///     valid; they skip_quiet() the consumed cycles afterwards;
+  ///   - otherwise (two components must tick, the owner declined, or a
+  ///     plain tick covers the budget): nothing.
+  /// Returns the cycles advanced; 0 means the caller steps exactly.
+  cycle_t fast_advance(cycle_t max_span, bool allow_macro) {
     const std::size_t count = components_.size();
-    std::size_t due_idx = count;
-    cycle_t horizon = kNever;
+    std::size_t owner = count;
+    cycle_t horizon = Component::kQuietForever;
     for (std::size_t i = 0; i < count; ++i) {
-      if (due_[i] <= now_) {
-        if (due_idx != count) return 0;  // two components due this cycle
-        due_idx = i;
-      } else if (due_[i] < horizon) {
-        horizon = due_[i];
+      const cycle_t q = components_[i]->quiet_for(now_);
+      if (q == 0) {
+        if (owner != count || !allow_macro) return 0;
+        owner = i;
+      } else if (q < horizon) {
+        horizon = q;
       }
     }
-    if (due_idx == count) return 0;  // nobody due: bulk-advance instead
-    const cycle_t budget =
-        horizon == kNever ? max_span
-                          : std::min<cycle_t>(max_span, horizon - now_);
-    if (budget <= 1) return 0;  // a plain tick covers this cycle
-    catch_up(due_idx, now_);
-    const cycle_t used = components_[due_idx]->macro_step(now_, budget);
+    const cycle_t span = std::min(horizon, max_span);
+    if (owner == count) {
+      skip(span);
+      return span;
+    }
+    if (span <= 1) return 0;
+    const cycle_t used = components_[owner]->macro_step(now_, span);
     if (used == 0) return 0;
-    WFASIC_ASSERT(used <= budget,
-                  "Scheduler::try_macro_step: macro_step overran its budget");
+    WFASIC_ASSERT(used <= span,
+                  "Scheduler::fast_advance: macro_step overran its budget");
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i != owner) components_[i]->skip_quiet(used);
+    }
+    now_ += used;
     ++stats_.macro_dispatches;
     stats_.macro_cycles += used;
-    now_ += used;
-    synced_[due_idx] = now_;
-    last_ticked_[due_idx] = kNever;
-    // Reschedule the stepped component from its post-span report, then
-    // recompute the immediate-due flag: another component's future
-    // activation may sit exactly at the new now_.
-    const cycle_t q = components_[due_idx]->quiet_for(now_);
-    must_tick_[due_idx] = q == 0;
-    set_due(due_idx, q >= kNever - now_ ? kNever : now_ + q);
-    immediate_due_ = false;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (due_[i] <= now_) {
-        immediate_due_ = true;
-        break;
-      }
-    }
     return used;
   }
 
-  /// Runs the single cycle at now_ under the event kernel: evaluates every
-  /// due component in registration order, catches sleepers up at wakeup
-  /// edges *before* the waker's tick mutates shared state, preserves the
-  /// two-phase tick/commit split across the cycle's active components, and
-  /// reschedules each ticked component from its post-cycle quiet_for().
-  /// Bit-identical to step() by the quiescence contract: the components
-  /// it does not tick are exactly those whose per-cycle tick would have
-  /// been quiet, and their updates apply in bulk later.
-  void run_event_cycle() {
-    WFASIC_ASSERT(events_armed_, "run_event_cycle: events not armed");
-    const cycle_t t = now_;
-    // Every component due at t is found by the scan below; the flag is
-    // re-established by same-cycle wakes and by q == 0 reschedules.
-    immediate_due_ = false;
-    ticked_.clear();
-    const std::size_t count = components_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (due_[i] > t) continue;
-      catch_up(i, t);
-      Component* const c = components_[i];
-      // A component rescheduled with quiet_for() == 0 promised a real
-      // tick — exact stepping would tick it unconditionally, so skip the
-      // re-check (the busy-pipeline fast path). Only conservatively-woken
-      // components re-evaluate and may go back to sleep.
-      if (!must_tick_[i]) {
-        const cycle_t q = c->quiet_for(t);
-        if (q > 0) {
-          set_due(i, q >= kNever - t ? kNever : t + q);
-          continue;
-        }
-      }
-      must_tick_[i] = 0;
-      // Real tick at t. Wake successors first: their lazy catch-up must
-      // read the pre-mutation state their skipped ticks would have seen.
-      for (const WakeEdge& e : edges_[i]) wake(e.to, t, e.delay);
-      c->tick(t);
-      synced_[i] = t + 1;
-      last_ticked_[i] = t;
-      ticked_.push_back(static_cast<std::uint32_t>(i));
-    }
-    stats_.ticks += ticked_.size();
-    // Commit phase for the cycle's active components only: a component
-    // whose tick was skipped as quiet has, by contract, a no-op commit.
-    for (const std::uint32_t idx : ticked_) {
-      if (needs_commit_[idx]) components_[idx]->commit(t);
-    }
-    ++now_;
-    // Reschedule from post-cycle state — the authoritative report, same
-    // state the legacy between-cycles quiescence poll would read.
-    for (const std::uint32_t idx : ticked_) {
-      const cycle_t q = components_[idx]->quiet_for(now_);
-      must_tick_[idx] = q == 0;
-      set_due(idx, q >= kNever - now_ ? kNever : now_ + q);
-    }
+  /// Snapshot restore (sim/snapshot.hpp): rewinds the clock and dispatch
+  /// accounting to a saved point. The clock and stats are the Scheduler's
+  /// entire state; everything else lives in the components.
+  void restore_clock(cycle_t now, const DispatchStats& stats) {
+    now_ = now;
+    stats_ = stats;
   }
 
   /// Runs until `done()` returns true (checked between cycles) or
@@ -485,146 +273,29 @@ class Scheduler {
   /// an abort — library code must not kill the process on a deadlock
   /// guard; callers (engine, driver, tests) decide how loud to be.
   ///
-  /// With `skip_quiescent` the predicate is instead checked on the coarser
-  /// grid of non-quiescent cycles: spans where every component is quiet
-  /// are fast-forwarded in one skip() and the boundary cycle is replayed
-  /// exactly. Only valid for predicates that can flip solely on non-quiet
+  /// With `fast` the predicate is instead checked on the coarser grid of
+  /// fast_advance() boundaries: quiet spans and macro-steps advance in one
+  /// call each and every other cycle is stepped exactly. Only valid for
+  /// predicates that can flip solely on externally visible, non-quiet
   /// ticks (e.g. FIFO/queue occupancy, state-machine phase) — not for
   /// predicates on now() or linear counters.
   RunUntilResult run_until(const std::function<bool()>& done,
-                           cycle_t max_cycles, bool skip_quiescent = false) {
+                           cycle_t max_cycles, bool fast = false) {
     while (!done()) {
       if (now_ >= max_cycles) {
         return {RunUntilStatus::kTimeout, now_};
       }
-      if (skip_quiescent) {
-        const cycle_t quiet = quiescent_cycles();
-        if (quiet > 0) {
-          skip(std::min(quiet, max_cycles - now_));
-          continue;
-        }
+      if (fast && fast_advance(max_cycles - now_, /*allow_macro=*/true) > 0) {
+        continue;
       }
       step_n(1);
     }
     return {RunUntilStatus::kDone, now_};
   }
 
-  /// run_until on the event kernel: same predicate-checking grid semantics
-  /// and typed timeout as run_until(skip_quiescent=true) — the predicate
-  /// and the deadline are evaluated at every active cycle and at every
-  /// bulk-advance boundary, against fully caught-up component state — but
-  /// quiet spans are found from the activation heap instead of the O(N)
-  /// quiescence poll, and only due components are evaluated at active
-  /// cycles. Event bookkeeping is flushed on exit, so callers observe
-  /// per-cycle-identical state either way.
-  ///
-  /// `macro_steps` additionally offers every eligible single-owner span to
-  /// the due component as one fused macro_step() call (try_macro_step).
-  /// The span is externally invisible by the macro contract, so the
-  /// predicate grid is unchanged: `done` is evaluated at span end against
-  /// the same observable state per-cycle stepping would present.
-  RunUntilResult run_until_events(const std::function<bool()>& done,
-                                  cycle_t max_cycles,
-                                  bool macro_steps = false) {
-    arm_events();
-    for (;;) {
-      for (std::size_t i = 0; i < components_.size(); ++i) catch_up(i, now_);
-      if (done()) break;
-      if (now_ >= max_cycles) {
-        flush_events();
-        return {RunUntilStatus::kTimeout, now_};
-      }
-      const cycle_t next = next_event_cycle();
-      if (next > now_) {
-        advance_to(std::min(next, max_cycles));
-        continue;
-      }
-      if (macro_steps && try_macro_step(max_cycles - now_) > 0) continue;
-      run_event_cycle();
-    }
-    flush_events();
-    return {RunUntilStatus::kDone, now_};
-  }
-
  private:
-  struct WakeEdge {
-    std::uint32_t to;     ///< successor component index
-    std::uint32_t delay;  ///< 0 = same cycle, 1 = next cycle (see above)
-  };
-  struct Event {
-    cycle_t due;
-    std::uint32_t idx;
-  };
-  /// Min-heap order on due cycles (std::push_heap builds a max-heap, so
-  /// "later" is the comparator).
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.due > b.due;
-    }
-  };
-
-  [[nodiscard]] std::size_t index_of(const Component* c) const {
-    const auto it = std::find(components_.begin(), components_.end(), c);
-    WFASIC_REQUIRE(it != components_.end(),
-                   "Scheduler: component not registered");
-    return static_cast<std::size_t>(it - components_.begin());
-  }
-
-  /// Accounts the quiet cycles [synced_[i], t) to component i in bulk.
-  void catch_up(std::size_t i, cycle_t t) {
-    if (synced_[i] < t) {
-      components_[i]->on_wake(t - synced_[i]);
-      synced_[i] = t;
-    }
-  }
-
-  /// Records component i's next evaluation cycle. Three representations:
-  /// kNever needs none (a wake will reinstate it), a due cycle <= now_
-  /// (always-busy reschedules, same-cycle wakes) is tracked by the
-  /// immediate flag — no heap traffic on the steady-state path — and only
-  /// genuinely future activations enter the heap.
-  void set_due(std::size_t i, cycle_t due) {
-    due_[i] = due;
-    if (due <= now_) {
-      immediate_due_ = true;
-    } else if (due != kNever) {
-      heap_.push_back(Event{due, static_cast<std::uint32_t>(i)});
-      std::push_heap(heap_.begin(), heap_.end(), EventLater{});
-    }
-  }
-
-  /// A non-quiet tick of a predecessor at cycle t: component `idx` must be
-  /// caught up through t + delay (reading pre-mutation state — this runs
-  /// before the waker's tick) and re-evaluated then. A component that
-  /// already ticked this cycle is rescheduled from post-cycle state
-  /// anyway, so the wake is a no-op for it.
-  void wake(std::size_t idx, cycle_t t, cycle_t delay) {
-    if (last_ticked_[idx] == t) return;
-    const cycle_t target = t + delay;
-    if (synced_[idx] < target) {
-      components_[idx]->on_wake(target - synced_[idx]);
-      synced_[idx] = target;
-    }
-    if (due_[idx] > target) set_due(idx, target);
-  }
-
   std::vector<Component*> components_;
   std::vector<Component*> commit_list_;
-  std::vector<bool> needs_commit_;
-  std::vector<std::vector<WakeEdge>> edges_;
-  // Event-kernel bookkeeping, indexed like components_. Only meaningful
-  // while events_armed_.
-  std::vector<cycle_t> due_;       ///< next evaluation cycle (kNever: none)
-  std::vector<cycle_t> synced_;    ///< first cycle not yet accounted
-  std::vector<cycle_t> last_ticked_;
-  /// due_[i] came from a quiet_for() == 0 reschedule (a promised tick, no
-  /// pre-tick re-check needed), not a conservative wake.
-  std::vector<std::uint8_t> must_tick_;
-  std::vector<Event> heap_;        ///< lazy min-heap over future due_
-  std::vector<std::uint32_t> ticked_;  ///< scratch: this cycle's active set
-  /// Some component is due at now_ (tracked outside the heap: see set_due).
-  bool immediate_due_ = false;
-  bool events_armed_ = false;
   cycle_t now_ = 0;
   DispatchStats stats_;
 };

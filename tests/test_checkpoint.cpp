@@ -4,12 +4,10 @@
 //  1. Bit-identity: a run that is checkpointed, or snapshotted mid-run and
 //     restored onto a *fresh* device, must finish observationally identical
 //     to an uninterrupted run — simulated cycle count, error state, the
-//     full PMU bank (all counters except the host-side
-//     host_idle_skipped_cycles diagnostic) and the complete output memory
-//     image — under all four stepping strategies (exact / legacy-skip /
-//     event-kernel / event-macro), across strategies (a blob saved under
-//     one strategy resumed under another), and mid-fault-campaign with the
-//     injector runtime carried through a kStrict restore.
+//     full PMU bank and the complete output memory image — under both
+//     stepping strategies (exact / fast), across strategies (a blob saved
+//     under one strategy resumed under the other), and mid-fault-campaign
+//     with the injector runtime carried through a kStrict restore.
 //
 //  2. Blob hardening: corrupted, truncated, version-skewed, config-skewed
 //     and garbage blobs must be rejected with the right typed
@@ -55,30 +53,20 @@ std::vector<gen::SequencePair> make_pairs(std::uint64_t seed,
   return pairs;
 }
 
-/// Same four-strategy matrix as tests/test_perf_equivalence.cpp: every
-/// checkpoint property must hold under every stepping kernel.
-enum class StepStrategy { kExact, kLegacySkip, kEventKernel, kEventMacro };
+/// Same exact-vs-fast matrix as tests/test_perf_equivalence.cpp: every
+/// checkpoint property must hold under both stepping strategies.
+enum class StepStrategy { kExact, kFast };
 
-constexpr StepStrategy kAllStrategies[] = {
-    StepStrategy::kExact, StepStrategy::kLegacySkip,
-    StepStrategy::kEventKernel, StepStrategy::kEventMacro};
+constexpr StepStrategy kAllStrategies[] = {StepStrategy::kExact,
+                                           StepStrategy::kFast};
 
 const char* strategy_name(StepStrategy s) {
-  switch (s) {
-    case StepStrategy::kExact: return "exact";
-    case StepStrategy::kLegacySkip: return "legacy-skip";
-    case StepStrategy::kEventKernel: return "event-kernel";
-    case StepStrategy::kEventMacro: return "event-macro";
-  }
-  return "?";
+  return s == StepStrategy::kExact ? "exact" : "fast";
 }
 
 hw::AcceleratorConfig make_cfg(StepStrategy s) {
   hw::AcceleratorConfig cfg;
-  cfg.idle_skip = s != StepStrategy::kExact;
-  cfg.event_kernel =
-      s == StepStrategy::kEventKernel || s == StepStrategy::kEventMacro;
-  cfg.macro_step = s == StepStrategy::kEventMacro;
+  cfg.idle_skip = s == StepStrategy::kFast;
   return cfg;
 }
 
@@ -94,10 +82,7 @@ struct Device {
   explicit Device(StepStrategy s) : Device(make_cfg(s)) {}
 };
 
-/// Everything observable about a finished run. The one legitimately
-/// strategy-dependent PMU counter (the host-side skipped-cycles
-/// diagnostic) is zeroed so the remaining hardware counters compare
-/// exactly.
+/// Everything observable about a finished run.
 struct Observation {
   sim::cycle_t final_now = 0;
   std::uint64_t run_cycles = 0;
@@ -114,7 +99,6 @@ Observation observe(const Device& d) {
   obs.run_cycles = d.accel.last_run_cycles();
   obs.err_status = d.accel.read_reg(hw::kRegErrStatus);
   obs.perf = d.accel.perf_counters();
-  obs.perf.host_idle_skipped_cycles = 0;
   obs.memory.resize(kMemBytes);
   d.memory.read(0, obs.memory);
   return obs;
@@ -296,12 +280,12 @@ TEST(CheckpointEquivalence, IdleRoundTripBlobStable) {
   // for byte: the dirty working set, every component section and the
   // register file all survive the round trip exactly.
   const auto pairs = make_pairs(951, 4, 110, 0.05);
-  Device src(StepStrategy::kEventMacro);
+  Device src(StepStrategy::kFast);
   launch(src, pairs, false);
   (void)src.driver.wait_idle();
   const std::vector<std::uint8_t> blob = src.accel.snapshot();
 
-  Device dst(StepStrategy::kEventMacro);
+  Device dst(StepStrategy::kFast);
   ASSERT_EQ(dst.accel.restore(blob), std::nullopt);
   EXPECT_EQ(blob, dst.accel.snapshot());
 }
@@ -458,12 +442,12 @@ TEST(SnapshotFuzz, RejectedRestoreLeavesMidRunTargetUntouched) {
   // to a never-interfered-with reference.
   const auto pairs = make_pairs(991, 4, 120, 0.07);
   const Observation ref =
-      reference_run(pairs, /*backtrace=*/true, StepStrategy::kEventMacro);
+      reference_run(pairs, /*backtrace=*/true, StepStrategy::kFast);
 
   std::vector<std::uint8_t> bad = make_fuzz_blob();
   bad[bad.size() / 2] ^= 0x40;
 
-  Device d(StepStrategy::kEventMacro);
+  Device d(StepStrategy::kFast);
   launch(d, pairs, true);
   d.accel.advance(ref.final_now / 2);
   ASSERT_FALSE(d.accel.idle());

@@ -41,7 +41,8 @@ TEST(EncodeInputSet, LayoutFields) {
 TEST(EncodeInputSet, HeaderSectionsHoldIdAndLengths) {
   mem::MainMemory memory(1 << 20);
   const std::vector<gen::SequencePair> pairs = {{42, "ACGTA", "AC"}};
-  encode_input_set(memory, pairs, 0, 0x9000);
+  const BatchLayout layout = encode_input_set(memory, pairs, 0, 0x9000);
+  EXPECT_EQ(layout.num_pairs, 1u);
   EXPECT_EQ(memory.read_u32(0), 42u);    // id
   EXPECT_EQ(memory.read_u32(16), 5u);    // len a
   EXPECT_EQ(memory.read_u32(32), 2u);    // len b
@@ -50,7 +51,8 @@ TEST(EncodeInputSet, HeaderSectionsHoldIdAndLengths) {
 TEST(EncodeInputSet, SequenceBytesAreAsciiWithDummyPadding) {
   mem::MainMemory memory(1 << 20);
   const std::vector<gen::SequencePair> pairs = {{0, "ACGT", "TT"}};
-  encode_input_set(memory, pairs, 0, 0x9000);
+  const BatchLayout layout = encode_input_set(memory, pairs, 0, 0x9000);
+  EXPECT_EQ(layout.in_bytes, hw::pair_bytes(16));
   // Sequence a starts after the 3 header sections.
   EXPECT_EQ(memory.read_u8(48), 'A');
   EXPECT_EQ(memory.read_u8(49), 'C');
@@ -86,7 +88,8 @@ TEST(EncodeInputSet, ForcedMaxReadLenTruncatesStorageKeepsLength) {
 TEST(EncodeInputSet, NBasesStoredVerbatim) {
   mem::MainMemory memory(1 << 20);
   const std::vector<gen::SequencePair> pairs = {{0, "ACNT", "ACGT"}};
-  encode_input_set(memory, pairs, 0, 0x9000);
+  const BatchLayout layout = encode_input_set(memory, pairs, 0, 0x9000);
+  EXPECT_EQ(layout.num_pairs, 1u);
   EXPECT_EQ(memory.read_u8(50), 'N');
 }
 

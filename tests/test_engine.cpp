@@ -295,6 +295,29 @@ TEST(Engine, ShardingIsDeterministicAcrossDeviceCounts) {
   EXPECT_LT(k4.pipeline_cycles, k1.pipeline_cycles);
 }
 
+TEST(Engine, DefaultConfigRunsTheFastPath) {
+  // The default engine device must actually leave exact stepping: a
+  // backend that left the watchdog armed, for one, would silently demote
+  // every run to per-cycle stepping without changing a single result.
+  const auto pairs = gen::generate_input_set({150, 0.05, 16, 96});
+  EngineConfig cfg;
+  cfg.num_devices = 2;
+  Engine fast(cfg);
+  cfg.device.accel.idle_skip = false;
+  Engine exact(cfg);
+  EXPECT_EQ(fast.run_dataset(pairs, 4, false, false),
+            exact.run_dataset(pairs, 4, false, false));
+  for (unsigned d = 0; d < 2; ++d) {
+    const hw::Accelerator& f = fast.device(d).accelerator();
+    const hw::Accelerator& e = exact.device(d).accelerator();
+    EXPECT_GT(f.dispatch_stats().macro_dispatches, 0u) << "device " << d;
+    EXPECT_GT(f.dispatch_stats().skipped_cycles, 0u) << "device " << d;
+    EXPECT_EQ(e.dispatch_stats().macro_dispatches, 0u) << "device " << d;
+    EXPECT_EQ(e.dispatch_stats().skipped_cycles, 0u) << "device " << d;
+    EXPECT_EQ(f.perf_counters(), e.perf_counters()) << "device " << d;
+  }
+}
+
 TEST(Engine, ResilientCompletesUnderFaultCampaignWithRequeues) {
   auto make_pairs = [](std::size_t count) {
     Prng prng(777);

@@ -4,6 +4,7 @@
 // configurations and with more Aligners").
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/swg_affine.hpp"
@@ -96,9 +97,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(Penalties{2, 3, 1}, Penalties{1, 4, 2},
                     Penalties{6, 2, 1}, Penalties{5, 10, 3}),
     [](const testing::TestParamInfo<Penalties>& info) {
-      return "x" + std::to_string(info.param.mismatch) + "o" +
-             std::to_string(info.param.gap_open) + "e" +
-             std::to_string(info.param.gap_extend);
+      std::ostringstream name;
+      name << 'x' << info.param.mismatch << 'o' << info.param.gap_open << 'e'
+           << info.param.gap_extend;
+      return name.str();
     });
 
 TEST(AcceleratorInvariants, PhaseCyclesAccountedPerBatch) {

@@ -6,8 +6,7 @@
 //     changes simulated cycle counts, results or the output memory image.
 //  2. Stepping invariance: a PMU snapshot is bit-identical whether the
 //     run was stepped cycle by cycle, in bounded quanta, by the driver's
-//     batched wait, with idle-skip on or off — the one documented
-//     exception being host_idle_skipped_cycles, a host-side diagnostic.
+//     batched wait, with idle-skip on or off.
 //  3. Fault determinism: a seeded fault campaign reproduces the same
 //     snapshot on every replay.
 //  4. Completeness: every RunStatus the driver produces — including every
@@ -50,13 +49,6 @@ std::vector<gen::SequencePair> make_pairs(std::uint64_t seed,
     pairs.push_back({static_cast<std::uint32_t>(i), std::move(a), b});
   }
   return pairs;
-}
-
-/// The PMU snapshot with the one documented stepping-dependent counter
-/// cleared, so snapshots can be compared across idle-skip settings.
-hw::PerfSnapshot comparable(hw::PerfSnapshot snapshot) {
-  snapshot.host_idle_skipped_cycles = 0;
-  return snapshot;
 }
 
 /// How a test drives the accelerator from Start to Idle.
@@ -135,12 +127,9 @@ TEST(PmuDeterminism, IdleSkipInvariant) {
                                    Stepping::kDriverWait);
     const PmuRun fast = run_batch(pairs, backtrace, /*idle_skip=*/true,
                                   Stepping::kDriverWait);
-    EXPECT_EQ(comparable(exact.perf), comparable(fast.perf))
-        << "backtrace=" << backtrace;
+    EXPECT_EQ(exact.perf, fast.perf) << "backtrace=" << backtrace;
     EXPECT_EQ(exact.final_now, fast.final_now);
     EXPECT_EQ(exact.memory, fast.memory);
-    // Idle-skip off never skips; the diagnostic must read zero there.
-    EXPECT_EQ(exact.perf.host_idle_skipped_cycles, 0u);
   }
 }
 
@@ -159,7 +148,7 @@ TEST(PmuDeterminism, SteppingStrategyInvariant) {
   // And across idle-skip for the quantised stepper, the engine's shape.
   const PmuRun skipped =
       run_batch(pairs, false, /*idle_skip=*/true, Stepping::kBoundedQuanta);
-  EXPECT_EQ(comparable(reference.perf), comparable(skipped.perf));
+  EXPECT_EQ(reference.perf, skipped.perf);
 }
 
 TEST(PmuDeterminism, StableUnderSeededFaultCampaign) {

@@ -1,10 +1,13 @@
-// Tests for the event-driven simulation kernel (sim/scheduler.hpp): the
-// self-scheduling contract (next_activation/on_wake), the wakeup graph,
-// and bulk-advance between events. The load-bearing property is
-// bit-identity: any component graph honoring the quiescence contract must
-// produce exactly the same state and timeline under run_until_events() as
-// under exact per-cycle stepping. Also covers the kernel-hardening
-// regressions: duplicate registration and skip() overflow are rejected.
+// Tests for the simulation kernel's fast path (sim/scheduler.hpp,
+// Scheduler::fast_advance): one quiescence poll per probe either skips a
+// span in which every component is quiet or grants a fused macro-step to
+// the one component that must tick. The load-bearing property is
+// bit-identity: any component graph honoring the quiescence and
+// macro-step contracts must produce exactly the same state and timeline
+// under run_until(..., fast=true) as under exact per-cycle stepping. Also
+// covers the kernel-hardening regressions (duplicate registration and
+// skip() overflow are rejected) and the accelerator-level vetoes that
+// demote the fast path to exact stepping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,15 +28,16 @@
 namespace wfasic::sim {
 namespace {
 
-/// Emits one token to a downstream queue every `period` cycles, starting
-/// at cycle `phase`. Quiet in between (pure countdown), so the event
-/// kernel sleeps it through the gaps.
+/// Emits `burst` tokens on consecutive cycles to a downstream queue every
+/// `period` cycles (period >= burst), starting at cycle `phase`. Quiet in
+/// between (pure countdown), so the fast path skips the gaps.
 class PulseSource final : public Component {
  public:
   PulseSource(std::string name, cycle_t period, cycle_t phase,
-              std::deque<cycle_t>* out)
+              std::deque<cycle_t>* out, cycle_t burst = 1)
       : Component(std::move(name)),
         period_(period),
+        burst_(burst),
         countdown_(phase),
         out_(out) {}
 
@@ -44,7 +48,9 @@ class PulseSource final : public Component {
     }
     out_->push_back(now);
     ++pulses_;
-    countdown_ = period_ - 1;
+    if (++in_burst_ < burst_) return;
+    in_burst_ = 0;
+    countdown_ = period_ - burst_;
   }
   [[nodiscard]] cycle_t quiet_for(cycle_t /*now*/) const override {
     return countdown_;
@@ -55,7 +61,9 @@ class PulseSource final : public Component {
 
  private:
   cycle_t period_;
+  cycle_t burst_;
   cycle_t countdown_;
+  cycle_t in_burst_ = 0;
   std::deque<cycle_t>* out_;
   std::uint64_t pulses_ = 0;
 };
@@ -63,7 +71,7 @@ class PulseSource final : public Component {
 /// Pops one token per cycle from its input queue; optionally forwards it
 /// downstream. Records the cycle of every pop — an order- and
 /// timing-sensitive trace that any stepping bug would perturb. Idle
-/// (kQuietForever) on an empty queue: it relies entirely on wakeup edges.
+/// (kQuietForever) on an empty queue until an upstream push.
 class Relay final : public Component {
  public:
   Relay(std::string name, std::deque<cycle_t>* in, std::deque<cycle_t>* out)
@@ -106,284 +114,9 @@ class Relay final : public Component {
   std::vector<cycle_t> pop_cycles_;
 };
 
-/// Appends (cycle, tag) to a shared log on every tick — the cross-component
-/// tick-order probe. Periodic like PulseSource.
-class OrderProbe final : public Component {
- public:
-  OrderProbe(std::string name, int tag, cycle_t period,
-             std::vector<std::pair<cycle_t, int>>* log)
-      : Component(std::move(name)), tag_(tag), period_(period), log_(log) {}
-
-  void tick(cycle_t now) override {
-    if (countdown_ > 0) {
-      --countdown_;
-      return;
-    }
-    log_->emplace_back(now, tag_);
-    countdown_ = period_ - 1;
-  }
-  [[nodiscard]] cycle_t quiet_for(cycle_t /*now*/) const override {
-    return countdown_;
-  }
-  void skip_quiet(cycle_t n) override { countdown_ -= n; }
-
- private:
-  int tag_;
-  cycle_t period_;
-  cycle_t countdown_ = 0;
-  std::vector<std::pair<cycle_t, int>>* log_;
-};
-
-bool never() { return false; }
-
-// ---------------------------------------------------------------------------
-// Kernel hardening (satellite regressions).
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerHardening, DuplicateAddAborts) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  PulseSource src("src", 4, 0, &q);
-  sched.add(&src);
-  EXPECT_DEATH(sched.add(&src), "already registered");
-}
-
-TEST(SchedulerHardening, SkipOverflowAborts) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay idle("idle", &q, nullptr);
-  sched.add(&idle);
-  // The whole system is forever-quiet; a caller must never turn that
-  // into a concrete kQuietForever-sized skip.
-  EXPECT_EQ(sched.quiescent_cycles(), Component::kQuietForever);
-  EXPECT_DEATH(sched.skip(Component::kQuietForever), "overflow");
-  // A large but representable span is fine.
-  sched.skip(1u << 20);
-  EXPECT_EQ(sched.now(), 1u << 20);
-}
-
-// ---------------------------------------------------------------------------
-// Event-ordering determinism.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, SameCycleEventsRunInRegistrationOrder) {
-  // Probes with different periods collide on various cycles; whenever
-  // several are due in the same cycle, the event kernel must evaluate
-  // them in registration order — exactly like the per-cycle loop.
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::vector<std::pair<cycle_t, int>> log;
-    OrderProbe p2("p2", 2, 2, &log);
-    OrderProbe p3("p3", 3, 3, &log);
-    OrderProbe p5("p5", 5, 5, &log);
-    sched.add(&p2, /*needs_commit=*/false);
-    sched.add(&p3, /*needs_commit=*/false);
-    sched.add(&p5, /*needs_commit=*/false);
-    if (event_kernel) {
-      const RunUntilResult r = sched.run_until_events(never, 61);
-      EXPECT_TRUE(r.timed_out());
-    } else {
-      sched.step_n(61);
-    }
-    EXPECT_EQ(sched.now(), 61u);
-    return log;
-  };
-  const auto exact = run(false);
-  const auto event = run(true);
-  EXPECT_EQ(exact, event);
-  // Sanity: cycle 30 is a 2/3/5 collision; registration order must hold.
-  const std::vector<std::pair<cycle_t, int>> expect_c30 = {
-      {30, 2}, {30, 3}, {30, 5}};
-  std::vector<std::pair<cycle_t, int>> got_c30;
-  for (const auto& e : event) {
-    if (e.first == 30) got_c30.push_back(e);
-  }
-  EXPECT_EQ(got_c30, expect_c30);
-}
-
-// ---------------------------------------------------------------------------
-// Wakeup-edge correctness.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, ForwardEdgeDeliversSameCycle) {
-  // Producer registered before consumer: per-cycle stepping ticks the
-  // consumer after the producer, so a push at cycle t is popped at t.
-  // The event kernel must reproduce that via a delay-0 wake.
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  PulseSource src("src", 10, 3, &q);
-  Relay sink("sink", &q, nullptr);
-  sched.add(&src, /*needs_commit=*/false);
-  sched.add(&sink, /*needs_commit=*/false);
-  sched.add_wakeup(&src, &sink);
-  const RunUntilResult r = sched.run_until_events(never, 25);
-  EXPECT_TRUE(r.timed_out());
-  EXPECT_EQ(sink.pop_cycles(), (std::vector<cycle_t>{3, 13, 23}));
-  // The skipped idle cycles were all accounted by lazy catch-up.
-  EXPECT_EQ(sink.popped() + sink.idle_cycles(), 25u);
-}
-
-TEST(EventKernel, BackwardEdgeDeliversNextCycle) {
-  // Consumer registered before producer: the consumer's cycle-t tick
-  // already ran when the producer pushes at t, so the pop lands at t+1.
-  // The event kernel must reproduce that via a delay-1 wake.
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay sink("sink", &q, nullptr);
-  PulseSource src("src", 10, 3, &q);
-  sched.add(&sink, /*needs_commit=*/false);
-  sched.add(&src, /*needs_commit=*/false);
-  sched.add_wakeup(&src, &sink);
-  const RunUntilResult r = sched.run_until_events(never, 25);
-  EXPECT_TRUE(r.timed_out());
-  EXPECT_EQ(sink.pop_cycles(), (std::vector<cycle_t>{4, 14, 24}));
-}
-
-TEST(EventKernel, SelfEdgeRejected) {
-  Scheduler sched;
-  std::deque<cycle_t> q;
-  Relay sink("sink", &q, nullptr);
-  sched.add(&sink);
-  EXPECT_DEATH(sched.add_wakeup(&sink, &sink), "self edge");
-}
-
-// ---------------------------------------------------------------------------
-// Randomized-graph bit-identity.
-// ---------------------------------------------------------------------------
-
-/// A randomized pipeline: `n_src` pulse sources with random periods and
-/// phases feed a chain of relays; edges are declared in whatever direction
-/// registration order dictates, so both delay-0 and delay-1 wakes occur.
-struct RandomGraph {
-  Scheduler sched;
-  std::vector<std::unique_ptr<std::deque<cycle_t>>> queues;
-  std::vector<std::unique_ptr<PulseSource>> sources;
-  std::vector<std::unique_ptr<Relay>> relays;
-
-  RandomGraph(std::uint64_t seed, bool relays_first) {
-    Prng prng(seed);
-    const std::size_t n_src = 1 + prng.next_below(3);
-    const std::size_t n_relay = 1 + prng.next_below(4);
-    // Chain queue i feeds relay i; relay i forwards into queue i+1.
-    for (std::size_t i = 0; i <= n_relay; ++i) {
-      queues.push_back(std::make_unique<std::deque<cycle_t>>());
-    }
-    for (std::size_t i = 0; i < n_relay; ++i) {
-      relays.push_back(std::make_unique<Relay>(
-          "relay" + std::to_string(i), queues[i].get(),
-          i + 1 < n_relay ? queues[i + 1].get() : nullptr));
-    }
-    for (std::size_t i = 0; i < n_src; ++i) {
-      sources.push_back(std::make_unique<PulseSource>(
-          "src" + std::to_string(i), 2 + prng.next_below(9),
-          prng.next_below(7), queues[0].get()));
-    }
-    // Registration order decides wake delays; exercise both layouts.
-    if (relays_first) {
-      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
-      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
-    } else {
-      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
-      for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
-    }
-    for (auto& s : sources) sched.add_wakeup(s.get(), relays[0].get());
-    for (std::size_t i = 0; i + 1 < n_relay; ++i) {
-      sched.add_wakeup(relays[i].get(), relays[i + 1].get());
-    }
-  }
-
-  /// Everything observable: per-relay pop traces, signatures, counters.
-  [[nodiscard]] std::vector<std::uint64_t> observation() const {
-    std::vector<std::uint64_t> obs{sched.now()};
-    for (const auto& s : sources) obs.push_back(s->pulses());
-    for (const auto& r : relays) {
-      obs.push_back(r->popped());
-      obs.push_back(r->signature());
-      obs.push_back(r->idle_cycles());
-      for (const cycle_t c : r->pop_cycles()) obs.push_back(c);
-    }
-    return obs;
-  }
-};
-
-TEST(EventKernel, RandomizedGraphsBitIdenticalToExactStepping) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    for (const bool relays_first : {false, true}) {
-      RandomGraph exact(seed, relays_first);
-      RandomGraph event(seed, relays_first);
-      exact.sched.step_n(400);
-      const RunUntilResult r = event.sched.run_until_events(never, 400);
-      EXPECT_TRUE(r.timed_out());
-      EXPECT_EQ(exact.observation(), event.observation())
-          << "seed " << seed << ", relays_first " << relays_first;
-    }
-  }
-}
-
-TEST(EventKernel, MixedSteppingResynchronizes) {
-  // Interleave exact stepping, event runs and bulk skips on one
-  // scheduler; every transition must flush/resync so the mix stays
-  // bit-identical to pure exact stepping.
-  RandomGraph exact(99, false);
-  RandomGraph mixed(99, false);
-  exact.sched.step_n(300);
-  mixed.sched.step_n(37);
-  (void)mixed.sched.run_until_events(never, 120);
-  mixed.sched.step_n(11);
-  (void)mixed.sched.run_until_events(never, 300);
-  EXPECT_EQ(exact.observation(), mixed.observation());
-}
-
-// ---------------------------------------------------------------------------
-// run_until parity: stop cycles and typed timeouts.
-// ---------------------------------------------------------------------------
-
-TEST(EventKernel, PredicateStopCycleMatchesExactStepping) {
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::deque<cycle_t> q;
-    PulseSource src("src", 7, 2, &q);
-    Relay sink("sink", &q, nullptr);
-    sched.add(&src, /*needs_commit=*/false);
-    sched.add(&sink, /*needs_commit=*/false);
-    sched.add_wakeup(&src, &sink);
-    const auto done = [&] { return sink.popped() >= 4; };
-    const RunUntilResult r = event_kernel
-                                 ? sched.run_until_events(done, 1'000)
-                                 : sched.run_until(done, 1'000);
-    EXPECT_FALSE(r.timed_out());
-    return r.now;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(EventKernel, TimeoutParityOnDeadlock) {
-  // A forever-idle system: exact stepping burns every cycle to the
-  // deadline; the event kernel bulk-advances straight to it. Both must
-  // report the same typed timeout at the same cycle — and never abort.
-  auto run = [](bool event_kernel) {
-    Scheduler sched;
-    std::deque<cycle_t> q;
-    Relay sink("sink", &q, nullptr);
-    sched.add(&sink, /*needs_commit=*/false);
-    const RunUntilResult r = event_kernel
-                                 ? sched.run_until_events(never, 5'000)
-                                 : sched.run_until(never, 5'000);
-    EXPECT_TRUE(r.timed_out());
-    EXPECT_EQ(sink.idle_cycles(), 5'000u);
-    return r.now;
-  };
-  EXPECT_EQ(run(false), run(true));
-  EXPECT_EQ(run(true), 5'000u);
-}
-
-// ---------------------------------------------------------------------------
-// Compiled macro-steps: steady-state detection, grant-rule edges, demotion.
-// ---------------------------------------------------------------------------
-
-/// A macro-capable source mirroring bench/sim_kernel's MacroSource: the
-/// per-cycle work is an xorshift state update (data dependent, never
-/// quiet), with an externally-visible emit every `period` cycles.
+/// A never-quiet, macro-capable source: the per-cycle work is an xorshift
+/// state update (data dependent, so never a quiet tick), with an
+/// externally-visible emit every `period` cycles.
 /// macro_step() fuses the emit-free prefix of the granted span and
 /// records every budget the scheduler granted, so tests can check the
 /// grant rule capped spans at the neighbor horizon. `overrun` makes it a
@@ -446,10 +179,176 @@ class FusedSource final : public Component {
   std::vector<cycle_t> budgets_;
 };
 
+bool never() { return false; }
+
+// ---------------------------------------------------------------------------
+// Kernel hardening (satellite regressions).
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerHardening, DuplicateAddAborts) {
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  PulseSource src("src", 4, 0, &q);
+  sched.add(&src);
+  EXPECT_DEATH(sched.add(&src), "already registered");
+}
+
+TEST(SchedulerHardening, SkipOverflowAborts) {
+  Scheduler sched;
+  std::deque<cycle_t> q;
+  Relay idle("idle", &q, nullptr);
+  sched.add(&idle);
+  // The whole system is forever-quiet; a caller must never turn that
+  // into a concrete kQuietForever-sized skip.
+  EXPECT_EQ(sched.quiescent_cycles(), Component::kQuietForever);
+  EXPECT_DEATH(sched.skip(Component::kQuietForever), "overflow");
+  // A large but representable span is fine.
+  sched.skip(1u << 20);
+  EXPECT_EQ(sched.now(), 1u << 20);
+}
+
+// ---------------------------------------------------------------------------
+// Fast-path bit-identity on synthetic graphs. (The EventKernel suite name
+// is kept from the retired event-driven kernel so test IDs stay stable.)
+// ---------------------------------------------------------------------------
+
+/// A randomized pipeline: periodic pulse sources with random periods and
+/// phases, one bursty source (dense bursts between long quiet gaps) and,
+/// when `with_fused`, one never-quiet macro-capable source all feed a
+/// chain of relays. Both registration layouts are exercised, so a push is
+/// popped in the same cycle (consumer registered later) or the next one
+/// (consumer registered earlier).
+struct RandomGraph {
+  Scheduler sched;
+  std::vector<std::unique_ptr<std::deque<cycle_t>>> queues;
+  std::vector<std::unique_ptr<PulseSource>> sources;
+  std::unique_ptr<FusedSource> fused;
+  std::vector<std::unique_ptr<Relay>> relays;
+
+  RandomGraph(std::uint64_t seed, bool relays_first, bool with_fused) {
+    Prng prng(seed);
+    const std::size_t n_src = 1 + prng.next_below(3);
+    const std::size_t n_relay = 1 + prng.next_below(4);
+    // Chain queue i feeds relay i; relay i forwards into queue i+1.
+    for (std::size_t i = 0; i <= n_relay; ++i) {
+      queues.push_back(std::make_unique<std::deque<cycle_t>>());
+    }
+    for (std::size_t i = 0; i < n_relay; ++i) {
+      relays.push_back(std::make_unique<Relay>(
+          "relay" + std::to_string(i), queues[i].get(),
+          i + 1 < n_relay ? queues[i + 1].get() : nullptr));
+    }
+    for (std::size_t i = 0; i < n_src; ++i) {
+      sources.push_back(std::make_unique<PulseSource>(
+          "src" + std::to_string(i), 2 + prng.next_below(9),
+          prng.next_below(7), queues[0].get()));
+    }
+    const cycle_t burst = 8 + prng.next_below(25);
+    sources.push_back(std::make_unique<PulseSource>(
+        "burst", burst + 100 + prng.next_below(200), prng.next_below(50),
+        queues[0].get(), burst));
+    if (with_fused) {
+      fused = std::make_unique<FusedSource>(
+          "fused", 8 + prng.next_below(24), queues[0].get());
+    }
+    const auto add_producers = [&] {
+      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
+      if (fused) sched.add(fused.get(), /*needs_commit=*/false);
+    };
+    if (!relays_first) add_producers();
+    for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
+    if (relays_first) add_producers();
+  }
+
+  /// Everything observable: per-relay pop traces, signatures, counters.
+  [[nodiscard]] std::vector<std::uint64_t> observation() const {
+    std::vector<std::uint64_t> obs{sched.now()};
+    for (const auto& s : sources) obs.push_back(s->pulses());
+    if (fused) {
+      obs.push_back(fused->emitted());
+      obs.push_back(fused->state());
+    }
+    for (const auto& r : relays) {
+      obs.push_back(r->popped());
+      obs.push_back(r->signature());
+      obs.push_back(r->idle_cycles());
+      for (const cycle_t c : r->pop_cycles()) obs.push_back(c);
+    }
+    return obs;
+  }
+};
+
+TEST(EventKernel, RandomizedGraphsBitIdenticalToExactStepping) {
+  std::uint64_t skipped = 0;
+  std::uint64_t fused_cycles = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const bool relays_first : {false, true}) {
+      for (const bool with_fused : {false, true}) {
+        RandomGraph exact(seed, relays_first, with_fused);
+        RandomGraph fast(seed, relays_first, with_fused);
+        exact.sched.step_n(1'000);
+        const RunUntilResult r =
+            fast.sched.run_until(never, 1'000, /*fast=*/true);
+        EXPECT_TRUE(r.timed_out());
+        EXPECT_EQ(exact.observation(), fast.observation())
+            << "seed " << seed << ", relays_first " << relays_first
+            << ", with_fused " << with_fused;
+        skipped += fast.sched.dispatch_stats().skipped_cycles;
+        fused_cycles += fast.sched.dispatch_stats().macro_cycles;
+      }
+    }
+  }
+  // Both halves of the fast path fired somewhere in the sweep.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(fused_cycles, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// run_until parity: stop cycles and typed timeouts.
+// ---------------------------------------------------------------------------
+
+TEST(EventKernel, PredicateStopCycleMatchesExactStepping) {
+  auto run = [](bool fast) {
+    Scheduler sched;
+    std::deque<cycle_t> q;
+    PulseSource src("src", 7, 2, &q);
+    Relay sink("sink", &q, nullptr);
+    sched.add(&src, /*needs_commit=*/false);
+    sched.add(&sink, /*needs_commit=*/false);
+    const auto done = [&] { return sink.popped() >= 4; };
+    const RunUntilResult r = sched.run_until(done, 1'000, fast);
+    EXPECT_FALSE(r.timed_out());
+    return r.now;
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
+TEST(EventKernel, TimeoutParityOnDeadlock) {
+  // A forever-idle system: exact stepping burns every cycle to the
+  // deadline; the fast path skips straight to it. Both must report the
+  // same typed timeout at the same cycle — and never abort.
+  auto run = [](bool fast) {
+    Scheduler sched;
+    std::deque<cycle_t> q;
+    Relay sink("sink", &q, nullptr);
+    sched.add(&sink, /*needs_commit=*/false);
+    const RunUntilResult r = sched.run_until(never, 5'000, fast);
+    EXPECT_TRUE(r.timed_out());
+    EXPECT_EQ(sink.idle_cycles(), 5'000u);
+    return r.now;
+  };
+  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(true), 5'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled macro-steps: grant rule, budget caps, dispatch savings.
+// ---------------------------------------------------------------------------
+
 TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
-  // One never-quiet fused source feeding a relay: the event kernel alone
-  // must dispatch the source every cycle; with macro-steps the inter-emit
-  // spans collapse into fused calls. All three runs must agree on every
+  // One never-quiet fused source feeding a relay: exact stepping must
+  // dispatch the source every cycle; the fast path collapses the
+  // inter-emit spans into fused calls. Both runs must agree on every
   // observable — emit count, evolving xorshift state, the relay's pop
   // trace and signature, and final simulated time.
   struct Run {
@@ -460,7 +359,6 @@ TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
     Run() {
       sched.add(&src, /*needs_commit=*/false);
       sched.add(&sink, /*needs_commit=*/false);
-      sched.add_wakeup(&src, &sink);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
       std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state(),
@@ -469,25 +367,26 @@ TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
       return obs;
     }
   };
-  Run exact, event, macro;
+  Run exact, fast;
   exact.sched.step_n(2'000);
-  (void)event.sched.run_until_events(never, 2'000);
-  (void)macro.sched.run_until_events(never, 2'000, /*macro_steps=*/true);
-  EXPECT_EQ(exact.observation(), event.observation());
-  EXPECT_EQ(exact.observation(), macro.observation());
-  // The macro run actually engaged, and each grant replaced many ticks.
-  const auto& ev = event.sched.dispatch_stats();
-  const auto& ma = macro.sched.dispatch_stats();
-  EXPECT_EQ(ev.macro_dispatches, 0u);
-  EXPECT_GT(ma.macro_dispatches, 0u);
-  EXPECT_GT(ma.macro_cycles, ma.macro_dispatches);
-  EXPECT_LT(ma.ticks, ev.ticks);
+  (void)fast.sched.run_until(never, 2'000, /*fast=*/true);
+  EXPECT_EQ(exact.observation(), fast.observation());
+  // The fast run actually engaged, and each grant replaced many ticks.
+  const auto& ex = exact.sched.dispatch_stats();
+  const auto& fa = fast.sched.dispatch_stats();
+  EXPECT_EQ(ex.macro_dispatches, 0u);
+  EXPECT_GT(fa.macro_dispatches, 0u);
+  EXPECT_GT(fa.macro_cycles, fa.macro_dispatches);
+  // Kernel dispatches (tick() calls plus fused calls) per simulated
+  // cycle fall at least 3x against exact stepping.
+  EXPECT_GE(ex.ticks + ex.macro_dispatches,
+            3 * (fa.ticks + fa.macro_dispatches));
 }
 
 TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
-  // Steady-state predicate edge: two never-quiet components are both due
-  // every cycle, so the single-owner grant rule must never fire — the
-  // kernel stays per-cycle and the run remains bit-identical to exact.
+  // Grant-rule edge: two never-quiet components must both tick every
+  // cycle, so the single-owner grant must never fire — the fast path
+  // steps every cycle exactly and the run stays bit-identical.
   struct Run {
     Scheduler sched;
     std::deque<cycle_t> qa, qb;
@@ -503,7 +402,7 @@ TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
   };
   Run exact, macro;
   exact.sched.step_n(500);
-  (void)macro.sched.run_until_events(never, 500, /*macro_steps=*/true);
+  (void)macro.sched.run_until(never, 500, /*fast=*/true);
   EXPECT_EQ(exact.observation(), macro.observation());
   EXPECT_EQ(macro.sched.dispatch_stats().macro_dispatches, 0u);
   EXPECT_TRUE(macro.a.budgets().empty());
@@ -512,37 +411,33 @@ TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
 
 TEST(MacroStep, NeighborActivationCapsBudgetAndDemotesOnArrival) {
   // A fused source that would happily run forever shares the graph with a
-  // periodic probe sleeping between activations. Every granted budget
-  // must stop at the probe's next activation (horizon - now), and on the
-  // probe's due cycle itself two components are due, so the kernel
-  // demotes to a per-cycle event dispatch that exact stepping matches.
+  // periodic probe that is quiet between pulses. Every granted budget
+  // must stop at the probe's next pulse (its quiet_for() report), and on
+  // the pulse cycle itself two components must tick, so the fast path
+  // steps that cycle exactly — matching exact stepping.
   struct Run {
     Scheduler sched;
     std::deque<cycle_t> q;
-    std::vector<std::pair<cycle_t, int>> log;
+    std::deque<cycle_t> pulses;
     FusedSource src{"src", 1'000, &q};
-    OrderProbe probe{"probe", 1, 10, &log};
+    PulseSource probe{"probe", 10, 0, &pulses};
     Run() {
       sched.add(&src, /*needs_commit=*/false);
       sched.add(&probe, /*needs_commit=*/false);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
-      std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state(),
-                                     log.size()};
-      for (const auto& e : log) {
-        obs.push_back(e.first);
-        obs.push_back(static_cast<std::uint64_t>(e.second));
-      }
+      std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state()};
+      obs.insert(obs.end(), pulses.begin(), pulses.end());
       return obs;
     }
   };
   Run exact, macro;
   exact.sched.step_n(400);
-  (void)macro.sched.run_until_events(never, 400, /*macro_steps=*/true);
+  (void)macro.sched.run_until(never, 400, /*fast=*/true);
   EXPECT_EQ(exact.observation(), macro.observation());
   const auto& budgets = macro.src.budgets();
   ASSERT_FALSE(budgets.empty());
-  // The probe wakes every 10 cycles, so no span may reach past that.
+  // The probe pulses every 10 cycles, so no span may reach past that.
   EXPECT_LE(*std::max_element(budgets.begin(), budgets.end()), 10u);
 }
 
@@ -553,7 +448,7 @@ TEST(MacroStepDeath, BudgetOverrunAborts) {
   std::deque<cycle_t> q;
   FusedSource src("src", 50, &q, /*overrun=*/true);
   sched.add(&src, /*needs_commit=*/false);
-  EXPECT_DEATH((void)sched.run_until_events(never, 100, /*macro_steps=*/true),
+  EXPECT_DEATH((void)sched.run_until(never, 100, /*fast=*/true),
                "overran its budget");
 }
 
@@ -562,9 +457,9 @@ TEST(MacroStepDeath, BudgetOverrunAborts) {
 // with bit-identical results — whenever a disqualifier is present.
 // ---------------------------------------------------------------------------
 
-/// A full accelerator run under the event kernel with macro-steps
-/// enabled, returning everything observable plus the kernel's dispatch
-/// accounting so tests can assert whether macro-steps engaged at all.
+/// A full accelerator run, returning everything observable; the
+/// accelerator's dispatch accounting tells tests whether macro-steps
+/// engaged at all.
 struct MacroRunObservation {
   sim::cycle_t final_now = 0;
   std::vector<hw::NbtResult> results;
@@ -596,9 +491,6 @@ struct MacroAccelRun {
     obs.final_now = accel.now();
     obs.results = drv::decode_nbt_results(memory, layout);
     obs.perf = accel.perf_counters();
-    // Host-side diagnostic, not simulated state: it legitimately differs
-    // across stepping strategies.
-    obs.perf.host_idle_skipped_cycles = 0;
     return obs;
   }
 };
@@ -606,16 +498,12 @@ struct MacroAccelRun {
 hw::AcceleratorConfig macro_cfg() {
   hw::AcceleratorConfig cfg;
   cfg.idle_skip = true;
-  cfg.event_kernel = true;
-  cfg.macro_step = true;
   return cfg;
 }
 
 hw::AcceleratorConfig exact_cfg() {
   hw::AcceleratorConfig cfg;
   cfg.idle_skip = false;
-  cfg.event_kernel = false;
-  cfg.macro_step = false;
   return cfg;
 }
 
@@ -650,7 +538,7 @@ TEST(MacroStepDemotion, ArmedWatchdogSuppressesMacro) {
 }
 
 TEST(MacroStepDemotion, MidRunWatchdogArmDemotesAtThatCycle) {
-  // Demotion is evaluated per iteration, not per run: a watchdog armed
+  // Demotion is evaluated per probe, not per run: a watchdog armed
   // mid-run must stop macro grants from that exact cycle on, while the
   // already-fused prefix and the per-cycle suffix together stay
   // bit-identical to exact stepping.
@@ -672,7 +560,6 @@ TEST(MacroStepDemotion, MidRunWatchdogArmDemotesAtThatCycle) {
     obs.final_now = r.accel.now();
     obs.results = drv::decode_nbt_results(r.memory, layout);
     obs.perf = r.accel.perf_counters();
-    obs.perf.host_idle_skipped_cycles = 0;
     return std::make_tuple(obs, grants_at_arm,
                            r.accel.dispatch_stats().macro_dispatches -
                                grants_at_arm);

@@ -5,8 +5,7 @@
 // and the property the whole design hangs on: recording is
 // zero-perturbation. The recorder-on and recorder-off arms of the same
 // workload must produce bit-identical completions, ServiceStats and full
-// per-device PMU banks under every stepping strategy (exact, legacy
-// skip, event kernel, event kernel + macro-steps).
+// per-device PMU banks under both stepping strategies (exact and fast).
 #include "svc/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -242,30 +241,16 @@ TEST(TraceDump, ParserRejectsGarbage) {
 // ---------------------------------------------------------------------------
 // Zero-perturbation: the acceptance property. One workload, two arms
 // (recorder fully on with keep-all + registry sampling vs recording
-// disabled), every stepping strategy — completions, per-lane stats and
-// the complete 19-counter PMU bank of every device must be identical.
+// disabled), both stepping strategies — completions, per-lane stats and
+// the complete PMU bank of every device must be identical.
 
-enum class StepStrategy { kExact, kLegacySkip, kEventKernel, kEventMacro };
+enum class StepStrategy { kExact, kFast };
 
-constexpr StepStrategy kAllStrategies[] = {
-    StepStrategy::kExact, StepStrategy::kLegacySkip,
-    StepStrategy::kEventKernel, StepStrategy::kEventMacro};
+constexpr StepStrategy kAllStrategies[] = {StepStrategy::kExact,
+                                           StepStrategy::kFast};
 
 const char* strategy_name(StepStrategy s) {
-  switch (s) {
-    case StepStrategy::kExact: return "exact";
-    case StepStrategy::kLegacySkip: return "legacy-skip";
-    case StepStrategy::kEventKernel: return "event-kernel";
-    case StepStrategy::kEventMacro: return "event-macro";
-  }
-  return "?";
-}
-
-void apply_strategy(hw::AcceleratorConfig& cfg, StepStrategy s) {
-  cfg.idle_skip = s != StepStrategy::kExact;
-  cfg.event_kernel =
-      s == StepStrategy::kEventKernel || s == StepStrategy::kEventMacro;
-  cfg.macro_step = s == StepStrategy::kEventMacro;
+  return s == StepStrategy::kExact ? "exact" : "fast";
 }
 
 /// Everything the service run exposes that recording must not change.
@@ -283,7 +268,7 @@ ServiceObservation run_workload(StepStrategy s, const TraceConfig& trace) {
   cfg.engine.num_devices = 2;
   cfg.engine.device.memory_bytes = 16ull << 20;
   cfg.engine.device.out_addr = 12ull << 20;
-  apply_strategy(cfg.engine.device.accel, s);
+  cfg.engine.device.accel.idle_skip = s == StepStrategy::kFast;
   cfg.lanes.resize(2);
   cfg.lanes[0].name = "batch";
   cfg.lanes[1].name = "urgent";
@@ -330,23 +315,15 @@ ServiceObservation run_workload(StepStrategy s, const TraceConfig& trace) {
   return obs;
 }
 
-/// `cross_strategy` skips host_idle_skipped_cycles, the one PMU counter
-/// that is introspective of the stepping fast path itself (it counts the
-/// cycles the fast path elided, so it is zero under exact stepping by
-/// definition — same carve-out as tests/test_perf_equivalence).
 void expect_observations_eq(const ServiceObservation& on,
                             const ServiceObservation& off,
-                            const char* strategy,
-                            bool cross_strategy = false) {
+                            const char* strategy) {
   EXPECT_EQ(on.completions, off.completions) << strategy;
   EXPECT_EQ(on.final_now, off.final_now) << strategy;
   ASSERT_EQ(on.perf.size(), off.perf.size()) << strategy;
   for (std::size_t d = 0; d < on.perf.size(); ++d) {
     for (std::uint32_t i = 0; i < hw::kNumPerfCounters; ++i) {
       const auto idx = static_cast<hw::PerfIdx>(i);
-      if (cross_strategy && idx == hw::PerfIdx::kHostIdleSkippedCycles) {
-        continue;
-      }
       EXPECT_EQ(on.perf[d].counter(idx), off.perf[d].counter(idx))
           << strategy << " device " << d << " counter "
           << hw::perf_counter_name(idx);
@@ -396,16 +373,10 @@ TEST(ZeroPerturbation, AllStrategiesAgreeWithRecorderOn) {
   TraceConfig on;
   on.keep_all = true;
   const ServiceObservation exact = run_workload(StepStrategy::kExact, on);
-  for (const StepStrategy s :
-       {StepStrategy::kLegacySkip, StepStrategy::kEventKernel,
-        StepStrategy::kEventMacro}) {
-    SCOPED_TRACE(strategy_name(s));
-    const ServiceObservation fast = run_workload(s, on);
-    expect_observations_eq(exact, fast, strategy_name(s),
-                           /*cross_strategy=*/true);
-    // The recorded causal history itself is strategy-invariant too.
-    EXPECT_EQ(exact.traced_events, fast.traced_events);
-  }
+  const ServiceObservation fast = run_workload(StepStrategy::kFast, on);
+  expect_observations_eq(exact, fast, "fast");
+  // The recorded causal history itself is strategy-invariant too.
+  EXPECT_EQ(exact.traced_events, fast.traced_events);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +388,7 @@ TEST(ServiceTrace, LiveDumpValidatesAndSummarizes) {
   on.keep_all = true;
   on.sample_interval = 8192;
   const ServiceObservation obs =
-      run_workload(StepStrategy::kEventMacro, on);
+      run_workload(StepStrategy::kFast, on);
   EXPECT_GT(obs.traced_events, 0u);
 
   // Rebuild the same workload to get at the dump (run_workload returns

@@ -15,7 +15,7 @@
 #      hedged retries, circuit breaking, checkpoint preemption — the svc
 #      layer over the engine);
 #   4. the checkpoint/restore and recovery tests (snapshot bit-identity
-#      across the kernel strategies, blob hardening, engine failover and
+#      across exact and fast stepping, blob hardening, engine failover and
 #      preempt/resume — docs/RELIABILITY.md §7);
 #   5. the mixed-class escape campaign: wfasic-fault-campaign runs every
 #      fault class at once against a K-device engine with ECC + CRC on
