@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,39 +213,20 @@ class BenchReport {
   std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Adds an EngineMetrics export to a BenchReport under `prefix`_* keys
-/// (docs/OBSERVABILITY.md §4). The keys are informational — they are new
-/// relative to the checked-in baselines, and tools/bench_compare.py
-/// reports candidate-only keys without failing — so regression gating on
-/// the existing cycle/ratio metrics is unchanged.
+/// Adds an EngineMetrics export to a BenchReport: every line of the
+/// registry exposition engine::export_to_registry produces under `prefix`
+/// (docs/OBSERVABILITY.md §4), so bench keys and `--stats` share one set
+/// of names. The keys are informational — tools/bench_compare.py gates
+/// only the cycle/ratio metrics.
 inline void report_engine_metrics(BenchReport& report,
                                   const engine::EngineMetrics& metrics,
                                   const std::string& prefix) {
-  report.metric(prefix + "_submits", static_cast<double>(metrics.submits));
-  report.metric(prefix + "_completions",
-                static_cast<double>(metrics.completions));
-  report.metric(prefix + "_inflight_high_water",
-                static_cast<double>(metrics.in_flight_high_water));
-  report.metric(prefix + "_latency_mean_cycles", metrics.latency.mean());
-  report.metric(prefix + "_latency_min_cycles",
-                static_cast<double>(metrics.latency.min));
-  report.metric(prefix + "_latency_max_cycles",
-                static_cast<double>(metrics.latency.max));
-  report.metric(prefix + "_health_transitions",
-                static_cast<double>(metrics.health_transitions.size()));
-  // Per-lane accounting: devices 0..K-1, then the software backend.
-  for (std::size_t d = 0; d < metrics.devices.size(); ++d) {
-    const engine::DeviceMetrics& dm = metrics.devices[d];
-    const std::string lane = d + 1 < metrics.devices.size()
-                                 ? prefix + "_dev" + std::to_string(d)
-                                 : prefix + "_sw";
-    report.metric(lane + "_jobs", static_cast<double>(dm.jobs_completed));
-    report.metric(lane + "_failures", static_cast<double>(dm.jobs_failed));
-    report.metric(lane + "_busy_cycles",
-                  static_cast<double>(dm.busy_cycles));
-    report.metric(lane + "_utilization", dm.utilization());
-    report.metric(lane + "_queue_high_water",
-                  static_cast<double>(dm.queue_depth_high_water));
+  common::MetricsRegistry reg;
+  engine::export_to_registry(metrics, reg, prefix);
+  for (const std::string& line : reg.text_lines()) {
+    const std::size_t space = line.find(' ');
+    report.metric(line.substr(0, space),
+                  std::strtod(line.c_str() + space + 1, nullptr));
   }
 }
 

@@ -1,12 +1,10 @@
 #include "drv/driver.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
-#include "core/wfa.hpp"
 #include "drv/backtrace_cpu.hpp"
 
 namespace wfasic::drv {
@@ -147,50 +145,6 @@ RunStatus Driver::wait_idle(std::uint64_t max_cycles) {
   return wait_core([this] { return accelerator_.idle(); }, max_cycles);
 }
 
-Driver::CheckpointRun Driver::wait_idle_checkpointed(
-    std::uint64_t checkpoint_interval, std::uint64_t max_cycles) {
-  WFASIC_REQUIRE(checkpoint_interval > 0,
-                 "Driver::wait_idle_checkpointed: interval must be positive");
-  CheckpointRun run;
-  const sim::cycle_t begin = accelerator_.now();
-  const auto idle = [this] { return accelerator_.idle(); };
-  std::uint64_t remaining = max_cycles;
-  while (remaining > 0 && !idle()) {
-    const std::uint64_t slice = std::min(checkpoint_interval, remaining);
-    // Slicing one long wait into interval-sized run_until_event calls is
-    // bit-identical to the unsliced wait: each call stops either on the
-    // predicate or at its cycle budget, and exits at a safe point.
-    const std::uint64_t stepped = accelerator_.run_until_event(idle, slice);
-    remaining -= std::min(stepped, remaining);
-    if (!idle() && stepped == slice) {
-      run.last_checkpoint = accelerator_.snapshot();
-      run.checkpoint_cycle = accelerator_.now();
-      ++run.status.checkpoints;
-    }
-    if (stepped == 0 && !idle()) break;  // budget pinned to zero progress
-  }
-  RunStatus classified = classify(accelerator_.now() - begin, idle());
-  classified.checkpoints = run.status.checkpoints;
-  run.status = classified;
-  return run;
-}
-
-Driver::CheckpointRun Driver::resume_checkpointed(
-    std::span<const std::uint8_t> blob, std::uint64_t checkpoint_interval,
-    std::uint64_t max_cycles) {
-  if (const auto err = accelerator_.restore(blob)) {
-    // A rejected blob must never be resumed as if it applied: surface the
-    // typed cause and classify loudly instead of touching the device.
-    CheckpointRun run;
-    run.restore_error = err;
-    run.status.outcome = RunOutcome::kDataError;
-    return run;
-  }
-  CheckpointRun run = wait_idle_checkpointed(checkpoint_interval, max_cycles);
-  run.status.restores = 1;
-  return run;
-}
-
 RunStatus Driver::wait_interrupt(std::uint64_t max_cycles) {
   WFASIC_REQUIRE(accelerator_.read_reg(hw::kRegIntEnable) == 1u,
                  "Driver::wait_interrupt: interrupt not enabled at start");
@@ -200,150 +154,6 @@ RunStatus Driver::wait_interrupt(std::uint64_t max_cycles) {
     accelerator_.write_reg(hw::kRegIntStatus, 1u);  // acknowledge
   }
   return status;
-}
-
-Driver::ResilientReport Driver::run_batch_resilient(
-    mem::MainMemory& memory, std::span<const gen::SequencePair> pairs,
-    std::uint64_t in_addr, std::uint64_t out_addr,
-    const ResilientConfig& cfg) {
-  const hw::AcceleratorConfig& hw_cfg = accelerator_.config();
-  WFASIC_REQUIRE(pairs.size() <= (cfg.backtrace ? (1u << 23) : (1u << 16)),
-                 "run_batch_resilient: batch exceeds the result-ID width");
-
-  ResilientReport report;
-  report.outcomes.resize(pairs.size());
-  for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-    report.outcomes[idx].id = pairs[idx].id;
-  }
-
-  // The software fallback: scalar WFA (copes with 'N' bases) without the
-  // hardware's band and score cap, so it completes every pair the chip
-  // cannot. Where the band does not bind, scores and CIGARs match the
-  // hardware bit for bit (shared Eq.-3 kernel).
-  core::WfaConfig ref_cfg;
-  ref_cfg.pen = hw_cfg.pen;
-  ref_cfg.traceback = cfg.backtrace ? core::Traceback::kEnabled
-                                    : core::Traceback::kDisabled;
-  ref_cfg.extend = core::ExtendMode::kScalar;
-  core::WfaAligner fallback(ref_cfg);
-  const auto resolve_on_cpu = [&](std::size_t idx) {
-    PairOutcome& out = report.outcomes[idx];
-    out.result = fallback.align(pairs[idx].a, pairs[idx].b);
-    out.resolved = true;
-    out.cpu_fallback = true;
-    ++report.cpu_fallbacks;
-  };
-
-  // Pre-screen: a pair too long for the chip would make Accelerator::start
-  // reject the whole launch; it goes straight to the software path.
-  std::vector<std::size_t> initial;
-  for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-    const std::size_t longest =
-        std::max(pairs[idx].a.size(), pairs[idx].b.size());
-    const std::uint32_t rounded = hw::round_up_read_len(
-        std::max<std::uint32_t>(static_cast<std::uint32_t>(longest), 16));
-    if (rounded > hw_cfg.max_supported_read_len) {
-      resolve_on_cpu(idx);
-    } else {
-      initial.push_back(idx);
-    }
-  }
-
-  std::deque<std::vector<std::size_t>> work;
-  if (!initial.empty()) work.push_back(std::move(initial));
-  std::vector<unsigned> isolated_tries(pairs.size(), 0);
-
-  while (!work.empty() && report.launches < cfg.max_launches) {
-    const std::vector<std::size_t> seg = std::move(work.front());
-    work.pop_front();
-    if (seg.size() == 1) ++isolated_tries[seg[0]];
-
-    // Re-encoding every launch is deliberate: it repairs any bit flips a
-    // campaign event landed in the input region. Pairs get launch-local
-    // ids 0..n-1, mapped back through `seg` (the hardware ID fields are
-    // narrow and caller ids need not be dense).
-    std::vector<gen::SequencePair> launch_pairs;
-    launch_pairs.reserve(seg.size());
-    for (std::size_t local = 0; local < seg.size(); ++local) {
-      launch_pairs.push_back({static_cast<std::uint32_t>(local),
-                              pairs[seg[local]].a, pairs[seg[local]].b});
-    }
-    // A fresh salt per launch: stale-but-well-formed result records left
-    // by an earlier launch (e.g. after a dropped write beat) can then
-    // never verify against this launch's CRCs.
-    const BatchLayout layout =
-        encode_input_set(memory, launch_pairs, in_addr, out_addr,
-                         /*force_max_read_len=*/0, hw_cfg.crc,
-                         /*crc_salt=*/report.launches + 1);
-    const std::uint64_t beats_before = accelerator_.dma().beats_written();
-    if (report.launches > 0) ++report.retries;
-    ++report.launches;
-    for (std::size_t idx : seg) ++report.outcomes[idx].hw_attempts;
-
-    start(layout, cfg.backtrace);
-    const RunStatus status = wait_idle(cfg.launch_cycle_budget);
-    report.total_cycles += status.cycles;
-    // A watchdog/DMA abort leaves the accelerator flushed and idle; only a
-    // wait-budget timeout needs an explicit soft reset before relaunching.
-    if (!accelerator_.idle()) soft_reset();
-
-    // Harvest every verifiable result the run managed to write out —
-    // bounded by the beats the DMA actually wrote, so an aborted run never
-    // decodes stale memory.
-    std::vector<bool> resolved_local(seg.size(), false);
-    const std::uint64_t beat_delta =
-        accelerator_.dma().beats_written() - beats_before;
-    for (const HarvestedPair& h : harvest_verified_results(
-             memory, layout, beat_delta, cfg.backtrace, launch_pairs,
-             hw_cfg)) {
-      const std::size_t idx = seg[h.local_id];
-      if (report.outcomes[idx].resolved) continue;
-      if (h.hw_rejected) {
-        // The hardware inspected the pair and gave up (unsupported read,
-        // band/score overflow). That is deterministic — retrying cannot
-        // help, the software path can.
-        resolve_on_cpu(idx);
-      } else {
-        report.outcomes[idx].result = h.result;
-        report.outcomes[idx].resolved = true;
-      }
-      resolved_local[h.local_id] = true;
-    }
-
-    std::vector<std::size_t> unresolved;
-    for (std::size_t local = 0; local < seg.size(); ++local) {
-      if (!resolved_local[local] &&
-          !report.outcomes[seg[local]].resolved) {
-        unresolved.push_back(seg[local]);
-      }
-    }
-    if (unresolved.empty()) continue;
-    if (unresolved.size() == 1) {
-      // Isolated pair: a few more hardware tries (transient faults fade;
-      // the schedule is finite), then degrade to the software path.
-      const std::size_t idx = unresolved[0];
-      if (isolated_tries[idx] >= cfg.singleton_attempts) {
-        resolve_on_cpu(idx);
-      } else {
-        work.push_back({idx});
-      }
-    } else {
-      // Bisect: split the failing segment until the poisoned pair is
-      // isolated. Healthy halves complete on the next launch.
-      const auto mid =
-          unresolved.begin() +
-          static_cast<std::ptrdiff_t>(unresolved.size() / 2);
-      work.emplace_back(unresolved.begin(), mid);
-      work.emplace_back(mid, unresolved.end());
-    }
-  }
-
-  // Launch guard exhausted (or pathological schedule): whatever is still
-  // unresolved completes in software. The batch never fails as a whole.
-  for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-    if (!report.outcomes[idx].resolved) resolve_on_cpu(idx);
-  }
-  return report;
 }
 
 namespace {

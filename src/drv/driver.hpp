@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,13 +71,6 @@ struct RunStatus {
   /// CRC, wait-budget timeout — carries it, because classify() is the
   /// single producer (audited by tests/test_observability.cpp).
   hw::PerfSnapshot perf;
-  /// Recovery-cost accounting (docs/RELIABILITY.md §7). Zero on plain
-  /// waits; the checkpoint-aware paths (Driver::wait_idle_checkpointed /
-  /// resume_checkpointed) and the engine's failover machinery fill them
-  /// in, so every consumer sees what a run's resilience actually cost.
-  std::uint64_t checkpoints = 0;        ///< snapshots captured during the wait
-  std::uint64_t restores = 0;           ///< snapshot blobs applied
-  std::uint64_t recomputed_cycles = 0;  ///< cycles re-simulated after restore
 
   [[nodiscard]] bool ok() const { return outcome == RunOutcome::kOk; }
   /// The accelerator reached Idle and produced results (possibly with
@@ -108,43 +100,6 @@ class Driver {
   /// elapse. Acknowledges the interrupt when it fired; classifies like
   /// wait_idle (an interrupt that never fires is kTimeout, not a hang).
   RunStatus wait_interrupt(std::uint64_t max_cycles = 4'000'000'000ULL);
-
-  // --- Checkpoint-aware execution -------------------------------------------
-
-  /// Outcome of a checkpoint-aware wait: the usual classified status plus
-  /// the most recent device snapshot, ready to hand to a replacement
-  /// device (hw::Accelerator::restore) if this one is lost later.
-  struct CheckpointRun {
-    RunStatus status;
-    /// The last snapshot captured at an interval boundary; empty when the
-    /// run finished before the first interval elapsed.
-    std::vector<std::uint8_t> last_checkpoint;
-    /// Device cycle at which last_checkpoint was taken (0 if none).
-    std::uint64_t checkpoint_cycle = 0;
-    /// Set when resume_checkpointed was handed a blob the device rejected
-    /// (status.outcome is kDataError in that case; nothing was resumed).
-    std::optional<sim::SnapshotError> restore_error;
-  };
-
-  /// wait_idle with periodic checkpointing: advances the device in
-  /// `checkpoint_interval`-cycle slices and snapshots it at every slice
-  /// boundary the run is still in flight. Every slice boundary is a safe
-  /// point — the fast path defers no component state past a stepping
-  /// call — so the capture never perturbs the simulation: the final state,
-  /// classification and PMU numbers are bit-identical to a plain
-  /// wait_idle under either stepping strategy. Loss after a failure is
-  /// bounded by the interval, not the batch length.
-  CheckpointRun wait_idle_checkpointed(
-      std::uint64_t checkpoint_interval,
-      std::uint64_t max_cycles = 4'000'000'000ULL);
-
-  /// Applies `blob` to the device and finishes the run it captured, with
-  /// checkpointing still armed. A rejected blob (corrupt, version skew,
-  /// config mismatch) fails loudly: restore_error carries the typed cause,
-  /// the status classifies as kDataError and nothing is resumed.
-  CheckpointRun resume_checkpointed(
-      std::span<const std::uint8_t> blob, std::uint64_t checkpoint_interval,
-      std::uint64_t max_cycles = 4'000'000'000ULL);
 
   /// Classifies the accelerator's current error state into a RunStatus —
   /// the single source of truth wait_idle/wait_interrupt and the engine's
@@ -192,69 +147,6 @@ class Driver {
     return snapshot;
   }
 
-  // --- Resilient batch execution --------------------------------------------
-
-  /// One pair's final outcome from run_batch_resilient.
-  struct PairOutcome {
-    std::uint32_t id = 0;
-    bool resolved = false;      ///< a trustworthy result was produced
-    core::AlignResult result;   ///< score + CIGAR (CIGAR in BT mode only)
-    bool cpu_fallback = false;  ///< resolved by the software WFA
-    unsigned hw_attempts = 0;   ///< hardware launches that included it
-  };
-
-  struct ResilientConfig {
-    bool backtrace = true;  ///< BT mode: CIGARs + deep stream self-checks
-    /// Per-launch wait budget; generous, the watchdog usually fires first.
-    std::uint64_t launch_cycle_budget = 50'000'000;
-    unsigned max_launches = 256;      ///< overall guard across retries
-    unsigned singleton_attempts = 2;  ///< hw tries for an isolated pair
-    /// Per-pair hardware launch budget (0 = unlimited): a pair included
-    /// in this many launches without a verified result degrades to the
-    /// software path. Engine-level knob (drv ignores it).
-    unsigned pair_attempt_budget = 0;
-    /// Per-pair accelerator-cycle deadline (0 = off): once the launches a
-    /// pair rode have spent this many device cycles without resolving
-    /// it, it degrades to the software path. Engine-level knob.
-    std::uint64_t pair_cycle_deadline = 0;
-  };
-
-  struct ResilientReport {
-    std::vector<PairOutcome> outcomes;  ///< one per input pair, in order
-    std::uint64_t total_cycles = 0;     ///< accelerator cycles, all launches
-    unsigned launches = 0;
-    unsigned retries = 0;  ///< launches beyond the first
-    unsigned cpu_fallbacks = 0;
-
-    [[nodiscard]] bool complete() const {
-      for (const PairOutcome& o : outcomes) {
-        if (!o.resolved) return false;
-      }
-      return true;
-    }
-  };
-
-  /// Runs `pairs` to completion in the face of faults: launches the batch,
-  /// harvests every verifiable result, bisects failing segments until the
-  /// poisoned pairs are isolated (re-encoding each launch, which repairs
-  /// input-region corruption), and falls back to the software WFA for
-  /// pairs the hardware cannot complete (unsupported reads, band
-  /// overflows, persistent faults). Every pair ends up resolved; the
-  /// CIGARs of hardware- and CPU-resolved pairs agree with the core::wfa
-  /// reference. Deterministic given a deterministic fault schedule.
-  ResilientReport run_batch_resilient(mem::MainMemory& memory,
-                                      std::span<const gen::SequencePair> pairs,
-                                      std::uint64_t in_addr,
-                                      std::uint64_t out_addr,
-                                      const ResilientConfig& cfg);
-  ResilientReport run_batch_resilient(mem::MainMemory& memory,
-                                      std::span<const gen::SequencePair> pairs,
-                                      std::uint64_t in_addr,
-                                      std::uint64_t out_addr) {
-    return run_batch_resilient(memory, pairs, in_addr, out_addr,
-                               ResilientConfig{});
-  }
-
  private:
   [[nodiscard]] RunStatus classify(std::uint64_t cycles,
                                    bool completed) const;
@@ -297,8 +189,8 @@ struct HarvestedPair {
   core::AlignResult result;    ///< valid when !hw_rejected
 };
 
-/// Tolerant post-run harvest shared by Driver::run_batch_resilient and the
-/// engine's requeue path: decodes at most what the DMA actually wrote
+/// Tolerant post-run harvest behind the engine's resilient path
+/// (BatchJob::tolerant): decodes at most what the DMA actually wrote
 /// (`beat_delta` 16-byte beats past `layout.out_addr`) and keeps only
 /// results that verify — in BT mode the reconstructed CIGAR must re-score
 /// to the reported score; entries with out-of-range ids are dropped.

@@ -9,6 +9,16 @@
 
 namespace wfasic::engine {
 
+namespace {
+
+/// run_resilient's overall launch guard across retries.
+constexpr unsigned kMaxLaunches = 256;
+/// Hardware tries an isolated pair gets before it degrades to software
+/// (transient faults fade; the schedule is finite).
+constexpr unsigned kSingletonAttempts = 2;
+
+}  // namespace
+
 std::uint64_t pipelined_makespan(std::span<const PhaseSample> jobs,
                                  unsigned num_devices,
                                  unsigned slots_per_device) {
@@ -535,7 +545,7 @@ BatchResult Engine::run_dataset(std::span<const gen::SequencePair> pairs,
   return merged;
 }
 
-Engine::ResilientReport Engine::run_resilient(
+ResilientReport Engine::run_resilient(
     std::span<const gen::SequencePair> pairs, const ResilientConfig& cfg) {
   const hw::AcceleratorConfig& hw_cfg = cfg_.device.accel;
   WFASIC_REQUIRE(pairs.size() <= (cfg.backtrace ? (1u << 23) : (1u << 16)),
@@ -575,13 +585,10 @@ Engine::ResilientReport Engine::run_resilient(
   std::deque<std::vector<std::size_t>> work;
   if (!initial.empty()) work.push_back(std::move(initial));
   std::vector<unsigned> isolated_tries(pairs.size(), 0);
-  /// Device cycles spent by launches each pair rode (the per-ticket
-  /// deadline's clock).
-  std::vector<std::uint64_t> pair_spent(pairs.size(), 0);
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> in_flight_segs;
 
   const auto dispatch = [&]() {
-    while (!work.empty() && report.launches < cfg.max_launches) {
+    while (!work.empty() && report.launches < kMaxLaunches) {
       if (!health_.any_usable()) {
         // Every device quarantined/retired: the remaining hardware work
         // degrades onto the software backend instead of queueing on a
@@ -641,9 +648,6 @@ Engine::ResilientReport Engine::run_resilient(
       Completion completion = *try_take(JobHandle{handle_value});
       report.total_cycles += completion.accel_cycles;
       note_device_outcome(dev, completion.outcome);
-      for (const std::size_t idx : seg) {
-        pair_spent[idx] += completion.accel_cycles;
-      }
 
       std::vector<bool> resolved_local(seg.size(), false);
       for (const drv::HarvestedPair& h : completion.harvest) {
@@ -663,28 +667,17 @@ Engine::ResilientReport Engine::run_resilient(
       std::vector<std::size_t> unresolved;
       for (std::size_t local = 0; local < seg.size(); ++local) {
         const std::size_t idx = seg[local];
-        if (resolved_local[local] || report.outcomes[idx].resolved ||
-            sent_to_sw[idx] != 0) {
-          continue;
+        if (!resolved_local[local] && !report.outcomes[idx].resolved &&
+            sent_to_sw[idx] == 0) {
+          unresolved.push_back(idx);
         }
-        // Per-ticket budgets: a pair that exhausted its hardware attempt
-        // budget or its accelerator-cycle deadline stops retrying and
-        // degrades to software now.
-        if ((cfg.pair_attempt_budget != 0 &&
-             report.outcomes[idx].hw_attempts >= cfg.pair_attempt_budget) ||
-            (cfg.pair_cycle_deadline != 0 &&
-             pair_spent[idx] >= cfg.pair_cycle_deadline)) {
-          route_to_sw(idx);
-          continue;
-        }
-        unresolved.push_back(idx);
       }
       if (unresolved.empty()) continue;
       if (unresolved.size() == 1) {
-        // Isolated pair: a few more hardware tries (transient faults
-        // fade; the schedule is finite), then degrade to software.
+        // Isolated pair: a few more hardware tries, then degrade to
+        // software.
         const std::size_t idx = unresolved[0];
-        if (isolated_tries[idx] >= cfg.singleton_attempts) {
+        if (isolated_tries[idx] >= kSingletonAttempts) {
           route_to_sw(idx);
         } else {
           work.push_back({idx});

@@ -13,10 +13,10 @@
 //     decode batch N-1 overlap the aligning of batch N, so the reported
 //     pipeline_cycles is the makespan of that schedule, not the serial
 //     sum (pipelined_makespan below);
-//   - run_resilient() rehomes the driver's fault-tolerant flow onto the
-//     queues: kTimeout/kDmaError completions requeue through bisection
-//     across whichever device is free, and pairs the hardware cannot
-//     complete land on the SwBackend as the terminal fallback.
+//   - run_resilient() is the one fault-tolerant flow: tolerant jobs
+//     harvest every verifiable result, failing segments requeue through
+//     bisection across whichever device is free, and pairs the hardware
+//     cannot complete land on the SwBackend as the terminal fallback.
 // See docs/ENGINE.md for the full design.
 #pragma once
 
@@ -60,6 +60,36 @@ struct PhaseSample {
   std::uint64_t accel = 0;   ///< device busy time
   std::uint64_t decode = 0;  ///< CPU result decode + backtrace
   unsigned device = 0;       ///< which accelerator ran the batch
+};
+
+/// One pair's final outcome from Engine::run_resilient.
+struct PairOutcome {
+  std::uint32_t id = 0;
+  bool resolved = false;      ///< a trustworthy result was produced
+  core::AlignResult result;   ///< score + CIGAR (CIGAR in BT mode only)
+  bool cpu_fallback = false;  ///< resolved by the software backend
+  unsigned hw_attempts = 0;   ///< hardware launches that included it
+};
+
+struct ResilientConfig {
+  bool backtrace = true;  ///< BT mode: CIGARs + deep stream self-checks
+  /// Per-launch wait budget; generous, the watchdog usually fires first.
+  std::uint64_t launch_cycle_budget = 50'000'000;
+};
+
+struct ResilientReport {
+  std::vector<PairOutcome> outcomes;  ///< one per input pair, in order
+  std::uint64_t total_cycles = 0;     ///< accelerator cycles, all launches
+  unsigned launches = 0;
+  unsigned retries = 0;  ///< launches beyond the first
+  unsigned cpu_fallbacks = 0;
+
+  [[nodiscard]] bool complete() const {
+    for (const PairOutcome& o : outcomes) {
+      if (!o.resolved) return false;
+    }
+    return true;
+  }
 };
 
 /// Makespan of the three-stage pipeline: one CPU (encoding and decoding,
@@ -144,15 +174,17 @@ class Engine {
       bool backtrace, bool separate_data);
 
   // --- Resilient execution --------------------------------------------------
-  using PairOutcome = drv::Driver::PairOutcome;
-  using ResilientConfig = drv::Driver::ResilientConfig;
-  using ResilientReport = drv::Driver::ResilientReport;
+  using PairOutcome = engine::PairOutcome;
+  using ResilientConfig = engine::ResilientConfig;
+  using ResilientReport = engine::ResilientReport;
 
   /// Runs `pairs` to completion in the face of faults, on the engine's
   /// queues: tolerant jobs harvest every verifiable result; failing
   /// segments bisect and requeue (re-encoding repairs input corruption);
-  /// pairs the hardware cannot complete fall back to the SwBackend.
-  /// Semantics match drv::Driver::run_batch_resilient.
+  /// pairs too long for the chip, hardware rejections and pairs still
+  /// unresolved after two isolated launches fall back to the SwBackend.
+  /// Every pair ends up resolved; deterministic given a deterministic
+  /// fault schedule.
   ResilientReport run_resilient(std::span<const gen::SequencePair> pairs,
                                 const ResilientConfig& cfg = {});
 

@@ -19,15 +19,7 @@ HwBackend::HwBackend(const HwBackendConfig& cfg)
       accelerator_(owned_accelerator_.get()),
       driver_(*accelerator_),
       cpu_(cfg.cpu) {
-  WFASIC_REQUIRE(cfg_.in_addr < cfg_.out_addr &&
-                     cfg_.out_addr < cfg_.memory_bytes,
-                 "HwBackend: arena addresses out of order");
-  // Program the configured watchdog unconditionally: the device resets
-  // with the watchdog armed (hw::kDefaultWatchdogCycles), so a config of
-  // 0 ("disabled") must explicitly disarm it — otherwise every engine run
-  // inherits the armed reset default, which suppresses the stepping fast
-  // paths (Accelerator::idle_skip_allowed) for the whole run.
-  accelerator_->write_reg(hw::kRegWatchdog, cfg_.watchdog);
+  init_device();
 }
 
 HwBackend::HwBackend(const HwBackendConfig& cfg, mem::MainMemory& memory,
@@ -37,8 +29,15 @@ HwBackend::HwBackend(const HwBackendConfig& cfg, mem::MainMemory& memory,
       accelerator_(&accelerator),
       driver_(accelerator),
       cpu_(cfg.cpu) {
-  WFASIC_REQUIRE(cfg_.in_addr < cfg_.out_addr,
-                 "HwBackend: arena addresses out of order");
+  init_device();
+}
+
+void HwBackend::init_device() {
+  // Checked against the memory actually driven, owned or borrowed: an
+  // out_addr past its end would otherwise abort mid-run inside the DMA.
+  WFASIC_REQUIRE(cfg_.in_addr < cfg_.out_addr &&
+                     cfg_.out_addr < memory_->size(),
+                 "HwBackend: arena addresses out of order or out of memory");
   // Program the configured watchdog unconditionally: the device resets
   // with the watchdog armed (hw::kDefaultWatchdogCycles), so a config of
   // 0 ("disabled") must explicitly disarm it — otherwise every engine run

@@ -158,6 +158,9 @@ class HwBackend final : public AlignmentBackend {
   JobHandle adopt(Migration migration);
 
  private:
+  /// Both constructors: validates the arena against the driven memory and
+  /// programs the configured watchdog.
+  void init_device();
   [[nodiscard]] std::uint64_t predicted_in_bytes(const BatchJob& job) const;
   /// Encodes the queue front into arena slot `slot` (or the full region
   /// when it needs an exclusive launch).

@@ -5,8 +5,10 @@
 // All figures are derived from modelled cycle samples the completion
 // records already carry, so they are deterministic (the same dataset,
 // configuration and fault schedule reproduce them bit-for-bit) and cost
-// nothing when nobody reads them. Exported as Engine::metrics() and as
-// BENCH_*.json keys via bench/bench_util.hpp.
+// nothing when nobody reads them. Read as Engine::metrics(); turned into
+// names in exactly one place, export_to_registry below, whose exposition
+// the service registry, the BENCH_*.json keys and the tools' --stats dumps
+// all share.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +84,9 @@ struct EngineMetrics {
 /// Re-exports an EngineMetrics snapshot into the unified registry under
 /// stable `<prefix>_*` names (docs/OBSERVABILITY.md §4): per-backend job
 /// and utilization figures (devices 0..K-1, then `sw`), the engine-wide
-/// latency histogram, and the recovery cost counters.
+/// latency histogram, and the recovery cost counters. The one place an
+/// EngineMetrics becomes names; the health-transition log stays an event
+/// list and is exported only as its length.
 inline void export_to_registry(const EngineMetrics& m,
                                common::MetricsRegistry& reg,
                                const std::string& prefix) {

@@ -24,6 +24,8 @@
 
 #include "common/prng.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
+#include "engine/hw_backend.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/perf.hpp"
@@ -127,23 +129,44 @@ Observation reference_run(const std::vector<gen::SequencePair>& pairs,
 // Bit-identity under checkpointing.
 // ---------------------------------------------------------------------------
 
+/// HwBackend settings for a device borrowed from a Device: the test's
+/// arena and a small poll quantum, so a run crosses many poll boundaries.
+engine::HwBackendConfig backend_config(StepStrategy s) {
+  engine::HwBackendConfig cfg;
+  cfg.accel = make_cfg(s);
+  cfg.in_addr = kInAddr;
+  cfg.out_addr = kOutAddr;
+  cfg.poll_quantum = 512;
+  return cfg;
+}
+
 TEST(CheckpointEquivalence, CheckpointedWaitBitIdentical) {
-  // wait_idle_checkpointed slices the wait into interval-sized
-  // run_until_event calls and snapshots at every in-flight boundary; the
-  // capture must never perturb the simulation.
+  // HwBackendConfig::checkpoint_interval snapshots the device at poll
+  // boundaries while a run is in flight; the capture must never perturb
+  // the simulation. The same batch goes through a borrowing K=1 Engine
+  // with checkpointing on and off.
   for (const bool backtrace : {false, true}) {
     const auto pairs = make_pairs(backtrace ? 902 : 901, 5, 140, 0.07);
     for (const StepStrategy s : kAllStrategies) {
-      const Observation plain = reference_run(pairs, backtrace, s);
-      Device d(s);
-      launch(d, pairs, backtrace);
-      const drv::Driver::CheckpointRun run =
-          d.driver.wait_idle_checkpointed(/*checkpoint_interval=*/1000);
-      EXPECT_TRUE(run.status.completed());
-      EXPECT_GT(run.status.checkpoints, 0u)
+      const auto run = [&](std::uint64_t interval,
+                           std::uint64_t& checkpoints) {
+        Device d(s);
+        engine::EngineConfig cfg;
+        cfg.device = backend_config(s);
+        cfg.device.checkpoint_interval = interval;
+        engine::Engine eng(cfg, d.memory, d.accel);
+        (void)eng.run_batch(pairs, backtrace, /*separate_data=*/false);
+        checkpoints = eng.metrics().recovery.checkpoints;
+        return observe(d);
+      };
+      std::uint64_t off_checkpoints = 0;
+      std::uint64_t on_checkpoints = 0;
+      const Observation off = run(0, off_checkpoints);
+      const Observation on = run(1000, on_checkpoints);
+      EXPECT_EQ(off_checkpoints, 0u);
+      EXPECT_GT(on_checkpoints, 0u)
           << "run too short to checkpoint at interval 1000";
-      EXPECT_FALSE(run.last_checkpoint.empty());
-      EXPECT_EQ(plain, observe(d))
+      EXPECT_EQ(off, on)
           << "strategy: " << strategy_name(s) << ", bt=" << backtrace;
     }
   }
@@ -242,36 +265,6 @@ TEST(CheckpointEquivalence, MidFaultCampaignRestoreBitIdentical) {
         << "seed " << seed;
     (void)dst.driver.wait_idle();
     EXPECT_EQ(ref, observe(dst)) << "seed " << seed;
-  }
-}
-
-TEST(CheckpointEquivalence, FailoverDrillThroughDriver) {
-  // The drv-level failover drill: run the source device under periodic
-  // checkpointing until it is "lost" (wait budget exhausted mid-run),
-  // then hand its last checkpoint to a brand-new device via
-  // resume_checkpointed. The resumed run must complete bit-identically
-  // and the recovery accounting must show up on RunStatus.
-  const auto pairs = make_pairs(941, 5, 140, 0.07);
-  for (const StepStrategy s : kAllStrategies) {
-    const Observation ref = reference_run(pairs, /*backtrace=*/true, s);
-    const std::uint64_t interval = ref.final_now / 6 + 1;
-
-    Device src(s);
-    launch(src, pairs, true);
-    const drv::Driver::CheckpointRun lost = src.driver.wait_idle_checkpointed(
-        interval, /*max_cycles=*/interval * 3);
-    ASSERT_EQ(lost.status.outcome, drv::RunOutcome::kTimeout)
-        << "strategy: " << strategy_name(s);
-    ASSERT_FALSE(lost.last_checkpoint.empty());
-    ASSERT_GT(lost.status.checkpoints, 0u);
-
-    Device dst(s);
-    const drv::Driver::CheckpointRun resumed =
-        dst.driver.resume_checkpointed(lost.last_checkpoint, interval);
-    EXPECT_FALSE(resumed.restore_error.has_value());
-    EXPECT_TRUE(resumed.status.completed());
-    EXPECT_EQ(resumed.status.restores, 1u);
-    EXPECT_EQ(ref, observe(dst)) << "strategy: " << strategy_name(s);
   }
 }
 
@@ -456,17 +449,41 @@ TEST(SnapshotFuzz, RejectedRestoreLeavesMidRunTargetUntouched) {
   EXPECT_EQ(ref, observe(d));
 }
 
-TEST(SnapshotFuzz, DriverResumeRejectsCorruptBlobLoudly) {
-  std::vector<std::uint8_t> bad = make_fuzz_blob();
-  bad[12] ^= 0x01;
-  Device d(StepStrategy::kExact);
-  const drv::Driver::CheckpointRun run =
-      d.driver.resume_checkpointed(bad, /*checkpoint_interval=*/1000);
-  ASSERT_TRUE(run.restore_error.has_value());
-  EXPECT_EQ(*run.restore_error, sim::SnapshotError::kCrcMismatch);
-  EXPECT_EQ(run.status.outcome, drv::RunOutcome::kDataError);
-  EXPECT_EQ(run.status.restores, 0u);
-  EXPECT_TRUE(d.accel.idle()) << "nothing may be resumed from a bad blob";
+TEST(SnapshotFuzz, AdoptRejectsCorruptBlobLoudly) {
+  // The engine's restore-failure path: a migration whose checkpoint no
+  // longer validates completes loudly as kDataError on the adopting
+  // device. Nothing is resumed, no restore is counted, and the device
+  // stays usable.
+  const engine::HwBackendConfig cfg = backend_config(StepStrategy::kExact);
+  Device src_dev(StepStrategy::kExact);
+  engine::HwBackend src(cfg, src_dev.memory, src_dev.accel);
+  engine::BatchJob job;
+  job.pairs = make_pairs(1001, 3, 400, 0.05);
+  const engine::JobHandle handle = src.submit(std::move(job));
+  (void)src.poll();
+  std::optional<engine::HwBackend::Migration> migration = src.preempt(handle);
+  ASSERT_TRUE(migration.has_value()) << "run finished within one poll";
+  migration->job.checkpoint[12] ^= 0x01;
+
+  Device dst_dev(StepStrategy::kExact);
+  engine::HwBackend dst(cfg, dst_dev.memory, dst_dev.accel);
+  (void)dst.adopt(std::move(*migration));
+  (void)dst.poll();
+  const std::vector<engine::Completion> rejected = dst.drain();
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0].outcome, drv::RunOutcome::kDataError);
+  EXPECT_EQ(rejected[0].restores, 0u);
+  EXPECT_TRUE(dst_dev.accel.idle()) << "nothing may be resumed from a bad blob";
+
+  engine::BatchJob next;
+  next.pairs = make_pairs(1002, 2, 120, 0.05);
+  const engine::JobHandle next_handle = dst.submit(std::move(next));
+  while (dst.poll()) {
+  }
+  const std::vector<engine::Completion> done = dst.drain();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].handle.value, next_handle.value);
+  EXPECT_EQ(done[0].outcome, drv::RunOutcome::kOk);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/wfa.hpp"
 #include "drv/backtrace_cpu.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/input_format.hpp"
@@ -529,8 +530,8 @@ TEST(ErrRegs, PerRunErrCountSnapshotResetsBetweenRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Mixed campaign at the driver level: every fault class at once, ECC+CRC
-// on, zero silent corruptions across seeds (the 200-seed version runs in
+// Mixed campaign on one device: every fault class at once, ECC+CRC on,
+// zero silent corruptions across seeds (the 200-seed version runs in
 // tools/run_fault_campaign.sh; this is the in-tree smoke slice).
 
 TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
@@ -562,9 +563,15 @@ TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
     sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
     accel.attach_fault_injector(&injector);
 
-    drv::Driver driver(accel);
-    const drv::Driver::ResilientReport report = driver.run_batch_resilient(
-        memory, pairs, kInAddr, kOutAddr, drv::Driver::ResilientConfig{});
+    // The resilient path at K=1 on this device, watchdog at its reset
+    // default (HwBackend programs the configured value at construction).
+    engine::EngineConfig eng_cfg;
+    eng_cfg.device.accel = cfg;
+    eng_cfg.device.in_addr = kInAddr;
+    eng_cfg.device.out_addr = kOutAddr;
+    eng_cfg.device.watchdog = hw::kDefaultWatchdogCycles;
+    engine::Engine eng(eng_cfg, memory, accel);
+    const engine::ResilientReport report = eng.run_resilient(pairs);
     ASSERT_TRUE(report.complete()) << "seed " << seed;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(report.outcomes[i].result.score, expected[i].score)

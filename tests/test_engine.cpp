@@ -424,6 +424,16 @@ TEST(Engine, SwBackendMatchesHardwareScores) {
   }
 }
 
+TEST(Engine, BorrowedArenaMustFitTheBorrowedMemory) {
+  // The borrowing constructor checks the arena against the memory it is
+  // handed: the default 128 MB out_addr past a 16 MB memory fails at
+  // construction, not mid-run inside the DMA.
+  mem::MainMemory memory(16 << 20);
+  const HwBackendConfig cfg;
+  hw::Accelerator accel(cfg.accel, memory);
+  EXPECT_DEATH({ HwBackend backend(cfg, memory, accel); }, "arena addresses");
+}
+
 // --- Checkpoint/failover/preemption (docs/RELIABILITY.md §7) ------------
 
 TEST(EngineRecovery, MetricsStayZeroWithCheckpointingOff) {

@@ -9,9 +9,10 @@
 //   1. the accelerator never spins to the 4-billion-cycle deadlock guard —
 //      every fault ends in an error interrupt with kRegErrStatus naming
 //      the cause;
-//   2. the driver's retry/bisection/CPU-fallback path completes every
-//      batch with scores and CIGARs identical to the software core::wfa
-//      reference;
+//   2. the engine's resilient path (Engine::run_resilient at K=1, on the
+//      test's own memory, accelerator and injector) retries, bisects and
+//      falls back to software until every batch completes with scores
+//      and CIGARs identical to the software core::wfa reference;
 //   3. campaigns replay exactly: the same (seed, config) produces a
 //      bit-identical fault schedule and bit-identical outcomes.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "common/prng.hpp"
 #include "core/wfa.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/regs.hpp"
@@ -56,12 +58,27 @@ core::AlignResult reference_alignment(const gen::SequencePair& pair,
   return aligner.align(pair.a, pair.b);
 }
 
-void expect_matches_reference(const Driver::ResilientReport& report,
+/// The resilient path at K=1 through a borrowed device: the engine drives
+/// the caller's memory and accelerator (fault injector attached) with the
+/// test's arena and a 20k-cycle watchdog.
+engine::ResilientReport run_resilient(
+    mem::MainMemory& memory, hw::Accelerator& accel,
+    const std::vector<gen::SequencePair>& pairs) {
+  engine::EngineConfig cfg;
+  cfg.device.accel = accel.config();
+  cfg.device.in_addr = kInAddr;
+  cfg.device.out_addr = kOutAddr;
+  cfg.device.watchdog = 20'000;
+  engine::Engine eng(cfg, memory, accel);
+  return eng.run_resilient(pairs);
+}
+
+void expect_matches_reference(const engine::ResilientReport& report,
                               const std::vector<gen::SequencePair>& pairs,
                               const Penalties& pen) {
   ASSERT_EQ(report.outcomes.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const Driver::PairOutcome& out = report.outcomes[i];
+    const engine::PairOutcome& out = report.outcomes[i];
     const core::AlignResult ref = reference_alignment(pairs[i], pen);
     EXPECT_TRUE(out.resolved) << "pair " << i;
     EXPECT_EQ(out.result.ok, ref.ok) << "pair " << i;
@@ -200,7 +217,7 @@ TEST(FaultInjection, PermanentFifoStallIsCaughtByWatchdog) {
 
 // ---------------------------------------------------------------------------
 // Memory corruption: detected by the decode self-checks, repaired by the
-// driver's re-encode + retry.
+// resilient path's re-encode + retry.
 
 TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
   mem::MainMemory memory(16 << 20);
@@ -221,11 +238,8 @@ TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
   ev.bit = 3;
   injector.schedule(ev);
   accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
 
   // The corrupted launch produced a stream inconsistent with the real
   // sequences; the retry re-encoded (repairing the flip) and succeeded.
@@ -239,7 +253,7 @@ TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
 
 // ---------------------------------------------------------------------------
 // The full campaign: every fault class at once, against the resilient
-// driver. The batch must complete with reference-identical CIGARs.
+// path. The batch must complete with reference-identical CIGARs.
 
 struct CampaignOutcome {
   std::vector<sim::FaultEvent> schedule;
@@ -273,11 +287,8 @@ CampaignOutcome run_campaign(std::uint64_t seed,
   fc.fifo_stalls = 1;
   sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
   accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
 
   CampaignOutcome outcome;
   outcome.schedule = injector.events();
@@ -285,7 +296,7 @@ CampaignOutcome run_campaign(std::uint64_t seed,
   outcome.retries = report.retries;
   outcome.cpu_fallbacks = report.cpu_fallbacks;
   outcome.total_cycles = report.total_cycles;
-  for (const Driver::PairOutcome& o : report.outcomes) {
+  for (const engine::PairOutcome& o : report.outcomes) {
     outcome.scores.push_back(o.result.score);
     outcome.cigars.push_back(o.result.cigar.rle());
   }
@@ -315,11 +326,8 @@ TEST(FaultInjection, ResilientCampaignCompletesWithReferenceCigars) {
   sim::FaultInjector injector =
       sim::FaultInjector::make_campaign(0xfeed, fc);
   accel.attach_fault_injector(&injector);
-  accel.write_reg(hw::kRegWatchdog, 20'000);
 
-  Driver driver(accel);
-  const Driver::ResilientReport report =
-      driver.run_batch_resilient(memory, pairs, kInAddr, kOutAddr);
+  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
 
   EXPECT_TRUE(report.complete());
   EXPECT_GE(report.launches, 2u);        // faults forced at least one retry

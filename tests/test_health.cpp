@@ -370,40 +370,5 @@ TEST(Health, MixedCampaignWithEccAndCrcNeverCorruptsSilently) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Per-pair retry budgets: a deadline or attempt cap degrades a pair to
-// software instead of spinning on hardware forever.
-
-TEST(Health, PairAttemptBudgetDegradesToSoftware) {
-  const auto pairs = gen::generate_input_set({100, 0.08, 4, 36});
-  EngineConfig cfg = crc_engine_config();
-  Engine engine(cfg);
-  // Every launch loses a write beat: hardware can never verify anything.
-  std::vector<std::uint64_t> beats;
-  for (std::uint64_t b = 0; b < 200; b += 2) beats.push_back(b);
-  sim::FaultInjector injector;
-  for (const std::uint64_t beat : beats) {
-    sim::FaultEvent ev;
-    ev.cls = sim::FaultClass::kWriteBeatDrop;
-    ev.beat = beat;
-    injector.schedule(ev);
-  }
-  engine.device(0).attach_fault_injector(&injector);
-
-  Engine::ResilientConfig rc;
-  rc.backtrace = false;  // NBT: two write beats per launch, all damaged
-  rc.launch_cycle_budget = 2'000'000;
-  rc.pair_attempt_budget = 2;
-  const Engine::ResilientReport report = engine.run_resilient(pairs, rc);
-  ASSERT_TRUE(report.complete());
-  EXPECT_GT(report.cpu_fallbacks, 0u);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const core::AlignResult ref =
-        reference_alignment(pairs[i], kDefaultPenalties, false);
-    EXPECT_EQ(report.outcomes[i].result.score, ref.score) << i;
-    EXPECT_LE(report.outcomes[i].hw_attempts, rc.pair_attempt_budget) << i;
-  }
-}
-
 }  // namespace
 }  // namespace wfasic::engine

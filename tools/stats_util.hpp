@@ -4,8 +4,9 @@
 #pragma once
 
 #include <cstdio>
+#include <string>
 
-#include "common/quantile.hpp"
+#include "common/metrics_registry.hpp"
 #include "engine/metrics.hpp"
 #include "hw/perf.hpp"
 
@@ -21,37 +22,16 @@ inline void print_perf_snapshot(const hw::PerfSnapshot& snapshot,
   }
 }
 
+/// The engine metrics as the registry exposes them — the same `engine_*`
+/// names AlignService::export_metrics and the bench reports carry — then
+/// the health-transition log, an event list the registry does not hold.
 inline void print_engine_metrics(const engine::EngineMetrics& metrics,
                                  std::FILE* out) {
-  std::fprintf(out,
-               "# engine: %llu submits, %llu completions, in-flight "
-               "high-water %zu\n",
-               static_cast<unsigned long long>(metrics.submits),
-               static_cast<unsigned long long>(metrics.completions),
-               metrics.in_flight_high_water);
-  const common::HistogramSummary lat = common::summarize(metrics.latency);
-  std::fprintf(out,
-               "# latency (modelled cycles): mean %.1f min %llu p50 %llu "
-               "p90 %llu p99 %llu max %llu over %llu jobs\n",
-               lat.mean, static_cast<unsigned long long>(lat.min),
-               static_cast<unsigned long long>(lat.p50),
-               static_cast<unsigned long long>(lat.p90),
-               static_cast<unsigned long long>(lat.p99),
-               static_cast<unsigned long long>(lat.max),
-               static_cast<unsigned long long>(lat.count));
-  for (std::size_t d = 0; d < metrics.devices.size(); ++d) {
-    const engine::DeviceMetrics& dm = metrics.devices[d];
-    const bool is_sw = d + 1 == metrics.devices.size();
-    if (dm.jobs_completed == 0 && dm.jobs_failed == 0) continue;
-    std::fprintf(out,
-                 "# %s%zu: %llu jobs, %llu failures, busy %llu / %llu "
-                 "cycles (%.1f%% utilization), queue high-water %zu\n",
-                 is_sw ? "sw" : "dev", is_sw ? std::size_t{0} : d,
-                 static_cast<unsigned long long>(dm.jobs_completed),
-                 static_cast<unsigned long long>(dm.jobs_failed),
-                 static_cast<unsigned long long>(dm.busy_cycles),
-                 static_cast<unsigned long long>(dm.total_cycles),
-                 dm.utilization() * 100.0, dm.queue_depth_high_water);
+  common::MetricsRegistry reg;
+  engine::export_to_registry(metrics, reg, "engine");
+  std::fprintf(out, "# engine metrics (registry exposition):\n");
+  for (const std::string& line : reg.text_lines()) {
+    std::fprintf(out, "#   %s\n", line.c_str());
   }
   for (const engine::HealthTransition& t : metrics.health_transitions) {
     const auto name = [](engine::DeviceHealth h) {
