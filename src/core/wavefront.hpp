@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "core/wfa_kernel.hpp"
 
 namespace wfasic::core {
 
@@ -139,5 +140,12 @@ class Wavefront {
   std::vector<offset_t> i_;
   std::vector<offset_t> d_;
 };
+
+/// The compute_wf_row view of a source wavefront; nullptr (an absent
+/// source) gives the empty view.
+[[nodiscard]] inline WfRowView row_view(const Wavefront* wf) {
+  if (wf == nullptr) return {};
+  return {wf->row_m(), wf->row_i(), wf->row_d(), wf->lo(), wf->hi()};
+}
 
 }  // namespace wfasic::core

@@ -222,15 +222,14 @@ struct WfaAligner::Run {
     w.trim(lo, hi);
   }
 
-  /// Gathers the five Eq.-3 source offsets for diagonal k of score s.
-  /// Templated on whether a memory trace is attached so probe-less runs
-  /// pay zero per-access overhead (the compile-time branch folds away).
-  template <bool kTraced>
-  [[nodiscard]] WfCellSources gather_sources_impl(score_t s, diag_t k) {
+  /// Gathers the five Eq.-3 source offsets for diagonal k of score s,
+  /// tracing each load when a memory trace is attached. Only the traced
+  /// compute and the backtrace read sources one cell at a time.
+  [[nodiscard]] WfCellSources gather_sources(score_t s, diag_t k) {
     WfCellSources src;
     if (Wavefront* wx = wf(s - cfg.pen.mismatch)) {
       src.m_sub = wx->m(k);
-      if constexpr (kTraced) {
+      if (tracing) {
         trace(wx->trace_addr_m(std::clamp(k, wx->lo(), wx->hi())),
               sizeof(offset_t), false);
       }
@@ -238,7 +237,7 @@ struct WfaAligner::Run {
     if (Wavefront* woe = wf(s - cfg.pen.open_total())) {
       src.m_open_ins = woe->m(k - 1);
       src.m_open_del = woe->m(k + 1);
-      if constexpr (kTraced) {
+      if (tracing) {
         trace(woe->trace_addr_m(std::clamp(k - 1, woe->lo(), woe->hi())),
               sizeof(offset_t), false);
         trace(woe->trace_addr_m(std::clamp(k + 1, woe->lo(), woe->hi())),
@@ -248,7 +247,7 @@ struct WfaAligner::Run {
     if (Wavefront* we = wf(s - cfg.pen.gap_extend)) {
       src.i_ext = we->i(k - 1);
       src.d_ext = we->d(k + 1);
-      if constexpr (kTraced) {
+      if (tracing) {
         trace(we->trace_addr_i(std::clamp(k - 1, we->lo(), we->hi())),
               sizeof(offset_t), false);
         trace(we->trace_addr_d(std::clamp(k + 1, we->lo(), we->hi())),
@@ -257,11 +256,6 @@ struct WfaAligner::Run {
     }
     probe.wf_cells_read += 5;
     return src;
-  }
-
-  [[nodiscard]] WfCellSources gather_sources(score_t s, diag_t k) {
-    return tracing ? gather_sources_impl<true>(s, k)
-                   : gather_sources_impl<false>(s, k);
   }
 
   /// compute(): builds the wavefront of score s from s-x, s-o-e, s-e.
@@ -297,31 +291,34 @@ struct WfaAligner::Run {
 
     Wavefront& out = make_wf(s, lo, hi);
     if (tracing) {
-      compute_cells<true>(out, s, lo, hi);
+      compute_cells_traced(out, s, lo, hi);
     } else {
-      compute_cells<false>(out, s, lo, hi);
+      // The sources were resolved once above. The probe is charged per row
+      // what the traced per-cell path charges: 5 loads and 3 stores a cell.
+      compute_wf_row({row_view(wx), row_view(woe), row_view(we)}, lo, hi, n,
+                     m_len, {out.row_m(), out.row_i(), out.row_d()});
+      const auto width = static_cast<std::uint64_t>(hi - lo + 1);
+      probe.cells_computed += width;
+      probe.wf_cells_read += 5 * width;
+      probe.wf_cells_written += 3 * width;
     }
     ++probe.wavefronts_computed;
     return &out;
   }
 
-  /// The per-cell compute loop, dispatched once per wavefront on the
-  /// tracing flag.
-  template <bool kTraced>
-  void compute_cells(Wavefront& out, score_t s, diag_t lo, diag_t hi) {
+  /// The memory-trace compute: one cell at a time, so every source load
+  /// and result store is recorded at its own address.
+  void compute_cells_traced(Wavefront& out, score_t s, diag_t lo, diag_t hi) {
     for (diag_t k = lo; k <= hi; ++k) {
-      const WfCell cell =
-          compute_wf_cell(gather_sources_impl<kTraced>(s, k), k, n, m_len);
+      const WfCell cell = compute_wf_cell(gather_sources(s, k), k, n, m_len);
       out.set_m(k, cell.m);
       out.set_i(k, cell.i);
       out.set_d(k, cell.d);
       ++probe.cells_computed;
       probe.wf_cells_written += 3;
-      if constexpr (kTraced) {
-        trace(out.trace_addr_m(k), sizeof(offset_t), true);
-        trace(out.trace_addr_i(k), sizeof(offset_t), true);
-        trace(out.trace_addr_d(k), sizeof(offset_t), true);
-      }
+      trace(out.trace_addr_m(k), sizeof(offset_t), true);
+      trace(out.trace_addr_i(k), sizeof(offset_t), true);
+      trace(out.trace_addr_d(k), sizeof(offset_t), true);
     }
   }
 

@@ -1,11 +1,13 @@
-// The single-cell WFA compute kernel (Eq. 3) shared by the software aligner
-// (core/wfa.hpp) and the hardware Compute sub-module model (hw/compute_unit).
+// The WFA compute kernel (Eq. 3) shared by the software aligner
+// (core/wfa.hpp) and the hardware Compute sub-module model (hw/aligner):
+// compute_wf_cell for one cell, compute_wf_row for a wavefront row.
 //
 // Sharing one kernel guarantees that the accelerator model and the software
 // reference pick identical values AND identical provenance (origins), so the
 // hardware backtrace stream decodes to exactly the software CIGAR.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -129,6 +131,132 @@ struct OriginBits {
 [[nodiscard]] constexpr OriginBits unpack_origin_bits(std::uint8_t bits) {
   return OriginBits{static_cast<MOrigin>((bits >> 2) & 7),
                     ((bits >> 1) & 1) != 0, (bits & 1) != 0};
+}
+
+/// Read-only M/I/D rows of one source wavefront: element 0 is diagonal
+/// lo, the last is diagonal hi. The default, empty view (lo > hi) is an
+/// absent source: every read of it is kOffsetNull.
+struct WfRowView {
+  const offset_t* m = nullptr;
+  const offset_t* i = nullptr;
+  const offset_t* d = nullptr;
+  diag_t lo = 0;
+  diag_t hi = -1;
+};
+
+/// The three source wavefronts of score s (Figure 2) as row views.
+struct WfRowSources {
+  WfRowView sub;   ///< s-x: M read at k
+  WfRowView open;  ///< s-o-e: M read at k-1 and k+1
+  WfRowView ext;   ///< s-e: I read at k-1, D read at k+1
+};
+
+/// Output rows of compute_wf_row; element 0 is the row's first diagonal.
+struct WfRowOut {
+  offset_t* m;
+  offset_t* i;
+  offset_t* d;
+  std::uint8_t* codes = nullptr;  ///< pack_origin_bits per cell, if wanted
+};
+
+namespace detail {
+
+/// compute_wf_cell's values and origin codes for diagonals
+/// [ilo, ilo + count), where every source read is in view: direct loads,
+/// and the trim and the maxima as selects, so the loop has no branches.
+/// The trim is offset_in_matrix without its null test, which kOffsetNull
+/// fails anyway (off >= 0). A later candidate wins only when strictly
+/// greater, which is compute_wf_cell's tie-break order (open before
+/// extend; sub, then ins, then del).
+template <bool kCodes>
+inline void compute_wf_interior(const WfRowSources& src, diag_t ilo,
+                                diag_t count, offset_t pattern_len,
+                                offset_t text_len, const WfRowOut& out) {
+  const offset_t* const xm = src.sub.m + (ilo - src.sub.lo);
+  const offset_t* const oem = src.open.m + (ilo - src.open.lo);
+  const offset_t* const ei = src.ext.i + (ilo - src.ext.lo);
+  const offset_t* const ed = src.ext.d + (ilo - src.ext.lo);
+  for (diag_t j = 0; j < count; ++j) {
+    const diag_t k = ilo + j;
+    const auto trim = [k, pattern_len, text_len](offset_t off) {
+      const offset_t i = off - k;
+      const bool ok = off >= 0 && off <= text_len && i >= 0 && i <= pattern_len;
+      return ok ? off : kOffsetNull;
+    };
+    const offset_t i_open = trim(oem[j - 1] + 1);
+    const offset_t i_extend = trim(ei[j - 1] + 1);
+    const bool i_from_ext = i_extend > i_open;
+    const offset_t iv = i_from_ext ? i_extend : i_open;
+    const offset_t d_open = trim(oem[j + 1]);
+    const offset_t d_extend = trim(ed[j + 1]);
+    const bool d_from_ext = d_extend > d_open;
+    const offset_t dv = d_from_ext ? d_extend : d_open;
+    const offset_t sub = trim(xm[j] + 1);
+    const bool take_i = iv > sub;
+    const offset_t si = take_i ? iv : sub;
+    const bool take_d = dv > si;
+    out.m[j] = take_d ? dv : si;
+    out.i[j] = iv;
+    out.d[j] = dv;
+    if constexpr (kCodes) {
+      const unsigned ins = i_from_ext ? 2u : 1u;
+      const unsigned del = d_from_ext ? 4u : 3u;
+      const unsigned origin = take_d ? del : (take_i ? ins : 0u);
+      out.codes[j] = static_cast<std::uint8_t>(
+          (origin << 2) | (static_cast<unsigned>(i_from_ext) << 1) |
+          static_cast<unsigned>(d_from_ext));
+    }
+  }
+}
+
+}  // namespace detail
+
+/// Computes diagonals [lo, hi] of a new wavefront (Eq. 3) into `out`, and
+/// each cell's pack_origin_bits code when out.codes is set. Edge diagonals,
+/// where some source read falls outside its view (every diagonal, when a
+/// source is absent), go through compute_wf_cell; the interior runs
+/// detail::compute_wf_interior. tests/test_wfa_kernel.cpp proves the
+/// interior equal to compute_wf_cell exhaustively on a small matrix.
+inline void compute_wf_row(const WfRowSources& src, diag_t lo, diag_t hi,
+                           offset_t pattern_len, offset_t text_len,
+                           const WfRowOut& out) {
+  const auto edge = [&](diag_t k) {
+    const auto read = [](const WfRowView& v, const offset_t* row, diag_t at) {
+      return at >= v.lo && at <= v.hi ? row[at - v.lo] : kOffsetNull;
+    };
+    WfCellSources cell_src;
+    cell_src.m_sub = read(src.sub, src.sub.m, k);
+    cell_src.m_open_ins = read(src.open, src.open.m, k - 1);
+    cell_src.i_ext = read(src.ext, src.ext.i, k - 1);
+    cell_src.m_open_del = read(src.open, src.open.m, k + 1);
+    cell_src.d_ext = read(src.ext, src.ext.d, k + 1);
+    const WfCell cell = compute_wf_cell(cell_src, k, pattern_len, text_len);
+    const auto j = static_cast<std::size_t>(k - lo);
+    out.m[j] = cell.m;
+    out.i[j] = cell.i;
+    out.d[j] = cell.d;
+    if (out.codes != nullptr) out.codes[j] = pack_origin_bits(cell);
+  };
+  const diag_t ilo =
+      std::max({lo, src.sub.lo, src.open.lo + 1, src.ext.lo + 1});
+  const diag_t ihi =
+      std::min({hi, src.sub.hi, src.open.hi - 1, src.ext.hi - 1});
+  if (ilo > ihi) {
+    for (diag_t k = lo; k <= hi; ++k) edge(k);
+    return;
+  }
+  for (diag_t k = lo; k < ilo; ++k) edge(k);
+  const auto skip = static_cast<std::size_t>(ilo - lo);
+  const WfRowOut interior{out.m + skip, out.i + skip, out.d + skip,
+                          out.codes != nullptr ? out.codes + skip : nullptr};
+  if (out.codes != nullptr) {
+    detail::compute_wf_interior<true>(src, ilo, ihi - ilo + 1, pattern_len,
+                                      text_len, interior);
+  } else {
+    detail::compute_wf_interior<false>(src, ilo, ihi - ilo + 1, pattern_len,
+                                       text_len, interior);
+  }
+  for (diag_t k = ihi + 1; k <= hi; ++k) edge(k);
 }
 
 }  // namespace wfasic::core

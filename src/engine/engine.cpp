@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "core/wfa.hpp"
@@ -24,51 +25,42 @@ std::uint64_t pipelined_makespan(std::span<const PhaseSample> jobs,
                                  unsigned slots_per_device) {
   WFASIC_REQUIRE(num_devices > 0 && slots_per_device > 0,
                  "pipelined_makespan: empty machine");
-  const std::size_t n = jobs.size();
-  std::vector<std::uint64_t> align_end(n, 0);
+  for (const PhaseSample& job : jobs) {
+    WFASIC_REQUIRE(job.device < num_devices,
+                   "pipelined_makespan: device index out of range");
+  }
+  // Encoded-but-undecoded jobs as (align end, index): never more than
+  // num_devices * slots_per_device entries, so each step's scan is short.
+  std::vector<std::pair<std::uint64_t, std::size_t>> aligning;
   std::vector<std::uint64_t> device_free(num_devices, 0);
   std::vector<unsigned> in_flight(num_devices, 0);
-  std::vector<char> encoded(n, 0);
-  std::vector<char> decoded(n, 0);
 
   std::uint64_t cpu_t = 0;
   std::size_t next_encode = 0;
-  std::size_t remaining = n;
-  while (remaining > 0) {
+  while (next_encode < jobs.size() || !aligning.empty()) {
     // Earliest-finishing aligned-but-undecoded job (ties: lowest index).
-    std::size_t decode_pick = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (encoded[i] && !decoded[i] &&
-          (decode_pick == n || align_end[i] < align_end[decode_pick])) {
-        decode_pick = i;
-      }
-    }
+    const auto pick = std::min_element(aligning.begin(), aligning.end());
     const bool can_encode =
-        next_encode < n &&
+        next_encode < jobs.size() &&
         in_flight[jobs[next_encode].device] < slots_per_device;
 
-    if (decode_pick < n && (align_end[decode_pick] <= cpu_t || !can_encode)) {
+    if (pick != aligning.end() && (pick->first <= cpu_t || !can_encode)) {
       // Decode: preferred when ready (frees an arena slot), or forced when
       // the next encode is blocked on a full arena.
-      const PhaseSample& job = jobs[decode_pick];
-      WFASIC_REQUIRE(job.device < num_devices,
-                     "pipelined_makespan: device index out of range");
-      cpu_t = std::max(cpu_t, align_end[decode_pick]) + job.decode;
-      decoded[decode_pick] = 1;
+      const PhaseSample& job = jobs[pick->second];
+      cpu_t = std::max(cpu_t, pick->first) + job.decode;
       --in_flight[job.device];
-      --remaining;
+      *pick = aligning.back();
+      aligning.pop_back();
     } else if (can_encode) {
       const std::size_t i = next_encode++;
       const PhaseSample& job = jobs[i];
-      WFASIC_REQUIRE(job.device < num_devices,
-                     "pipelined_makespan: device index out of range");
       cpu_t += job.encode;
-      const std::uint64_t align_start =
-          std::max(device_free[job.device], cpu_t);
-      align_end[i] = align_start + job.accel;
-      device_free[job.device] = align_end[i];
+      const std::uint64_t align_end =
+          std::max(device_free[job.device], cpu_t) + job.accel;
+      device_free[job.device] = align_end;
       ++in_flight[job.device];
-      encoded[i] = 1;
+      aligning.emplace_back(align_end, i);
     } else {
       WFASIC_REQUIRE(false, "pipelined_makespan: schedule wedged");
     }

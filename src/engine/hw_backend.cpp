@@ -110,16 +110,15 @@ void HwBackend::launch(StagedJob&& staged) {
   ActiveJob active;
   active.staged = std::move(staged);
 
-  // Device stats accumulate across runs of the same accelerator; remember
-  // where this run starts (same snapshot the blocking SoC flow took).
+  // Phase and stall counters accumulate across runs of the same
+  // accelerator; remember where this run starts. Per-pair records need no
+  // baseline: Accelerator::start clears them.
   for (const auto& aligner : accelerator_->aligners()) {
-    active.aligner_cursors.push_back(aligner->records().size());
     active.phase_before.extend += aligner->phase_cycles().extend;
     active.phase_before.compute += aligner->phase_cycles().compute;
     active.phase_before.overhead += aligner->phase_cycles().overhead;
     active.stalls_before += aligner->output_stall_cycles();
   }
-  active.read_cursor = accelerator_->extractor().records().size();
   active.beats_before = accelerator_->dma().beats_written();
   active.budget = active.staged.job.cycle_budget != 0
                       ? active.staged.job.cycle_budget
@@ -391,19 +390,14 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
   result.encode_cycles = active.staged.encode_cycles;
 
   result.records.resize(job.pairs.size());
-  for (std::size_t idx = 0; idx < accelerator_->aligners().size(); ++idx) {
-    const auto& records = accelerator_->aligners()[idx]->records();
-    for (std::size_t r = active.aligner_cursors[idx]; r < records.size();
-         ++r) {
-      WFASIC_REQUIRE(records[r].id < result.records.size(),
+  for (const auto& aligner : accelerator_->aligners()) {
+    for (const hw::Aligner::PairRecord& record : aligner->records()) {
+      WFASIC_REQUIRE(record.id < result.records.size(),
                      "HwBackend: unexpected alignment id in records");
-      result.records[records[r].id] = records[r];
+      result.records[record.id] = record;
     }
   }
-  result.read_records.assign(
-      accelerator_->extractor().records().begin() +
-          static_cast<std::ptrdiff_t>(active.read_cursor),
-      accelerator_->extractor().records().end());
+  result.read_records = accelerator_->extractor().records();
   for (const auto& aligner : accelerator_->aligners()) {
     result.phase.extend += aligner->phase_cycles().extend;
     result.phase.compute += aligner->phase_cycles().compute;

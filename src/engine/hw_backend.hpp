@@ -108,15 +108,13 @@ class HwBackend final : public AlignmentBackend {
     std::uint64_t start_cycle = 0;
     std::uint64_t budget = 0;
     std::uint64_t beats_before = 0;
-    // Device stats vectors accumulate across runs; these cursors mark
-    // where this run starts.
-    std::vector<std::size_t> aligner_cursors;
+    // The Aligners' phase and stall counters accumulate across runs; these
+    // mark where this run starts.
     hw::Aligner::PhaseCycles phase_before;
     std::uint64_t stalls_before = 0;
-    std::size_t read_cursor = 0;
     // Checkpointing (cfg_.checkpoint_interval != 0). The blob is the
     // last periodic whole-device snapshot; empty until the first
-    // interval elapses. The stat cursors above stay valid across a
+    // interval elapses. The baselines above stay valid across a
     // restore because the blob carries the device stats exactly as they
     // were at the checkpoint.
     std::vector<std::uint8_t> checkpoint;

@@ -232,6 +232,10 @@ void Accelerator::start() {
   // PMU: the counter bank clears on Start (rebase against the current
   // hardware totals; high-water marks rearm at the live occupancy).
   perf_base_ = perf_counters_raw();
+  // Per-pair records cover one run, so a snapshot's size stays bounded by
+  // the batch rather than growing with every launch of the device.
+  for (auto& aligner : aligners_) aligner->clear_records();
+  extractor_->clear_records();
   input_fifo_.reset_high_water();
   output_fifo_.reset_high_water();
   running_ = true;
@@ -725,15 +729,6 @@ std::optional<sim::SnapshotError> Accelerator::restore(
 
   if (!r.at_end()) (void)r.fail(sim::SnapshotError::kBadValue);
   return r.error();
-}
-
-std::vector<Aligner::PairRecord> Accelerator::all_records() const {
-  std::vector<Aligner::PairRecord> all;
-  for (const auto& aligner : aligners_) {
-    all.insert(all.end(), aligner->records().begin(),
-               aligner->records().end());
-  }
-  return all;
 }
 
 }  // namespace wfasic::hw

@@ -159,8 +159,6 @@ class Accelerator {
   [[nodiscard]] const sim::ShowAheadFifo<mem::Beat>& output_fifo() const {
     return output_fifo_;
   }
-  /// All pair results across all Aligners, in completion order per Aligner.
-  [[nodiscard]] std::vector<Aligner::PairRecord> all_records() const;
   /// Host-side kernel accounting: per-component tick count, macro-step
   /// grants and the cycles they covered, and the cycles skipped as quiet.
   [[nodiscard]] const sim::Scheduler::DispatchStats& dispatch_stats() const {

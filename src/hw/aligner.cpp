@@ -1,65 +1,13 @@
 #include "hw/aligner.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "hw/bitpack.hpp"
 #include "hw/extend_unit.hpp"
 #include "hw/regs.hpp"
 
 namespace wfasic::hw {
-
-namespace {
-
-/// Hoisted row/bounds view of a source wavefront: same values as the
-/// Wavefront accessors, but the bounds live in locals so the compiler
-/// need not re-read them after every output store. An absent source gets
-/// an empty view (lo > hi), which yields kOffsetNull for every diagonal —
-/// exactly what null-pointer checks would produce. Shared by the
-/// per-cycle (step_score) and fused (step_score_fused) compute loops.
-struct SrcView {
-  const offset_t* m = nullptr;
-  const offset_t* i = nullptr;
-  const offset_t* d = nullptr;
-  diag_t lo = 0;
-  diag_t hi = -1;
-};
-
-SrcView view_of(const core::Wavefront* wf) {
-  SrcView v;
-  if (wf != nullptr) {
-    v.m = wf->row_m();
-    v.i = wf->row_i();
-    v.d = wf->row_d();
-    v.lo = wf->lo();
-    v.hi = wf->hi();
-  }
-  return v;
-}
-
-inline offset_t at_m(const SrcView& v, diag_t k) {
-  return k >= v.lo && k <= v.hi ? v.m[k - v.lo] : kOffsetNull;
-}
-inline offset_t at_i(const SrcView& v, diag_t k) {
-  return k >= v.lo && k <= v.hi ? v.i[k - v.lo] : kOffsetNull;
-}
-inline offset_t at_d(const SrcView& v, diag_t k) {
-  return k >= v.lo && k <= v.hi ? v.d[k - v.lo] : kOffsetNull;
-}
-
-/// The Eq.-3 kernel for one output diagonal, fed from the hoisted views.
-inline core::WfCell cell_at(const SrcView& vx, const SrcView& voe,
-                            const SrcView& ve, diag_t k, offset_t n,
-                            offset_t m_len) {
-  core::WfCellSources src;
-  src.m_sub = at_m(vx, k);
-  src.m_open_ins = at_m(voe, k - 1);
-  src.m_open_del = at_m(voe, k + 1);
-  src.i_ext = at_i(ve, k - 1);
-  src.d_ext = at_d(ve, k + 1);
-  return core::compute_wf_cell(src, k, n, m_len);
-}
-
-}  // namespace
 
 Aligner::Aligner(std::string name, const AcceleratorConfig& cfg)
     : sim::Component(std::move(name)),
@@ -162,7 +110,7 @@ core::Wavefront& Aligner::make_wavefront(score_t s, diag_t lo, diag_t hi,
   return *slot.wf;
 }
 
-void Aligner::start_alignment(sim::cycle_t now) {
+void Aligner::start_alignment() {
   n_ = static_cast<offset_t>(job_.a.size());
   m_len_ = static_cast<offset_t>(job_.b.size());
   k_align_ = m_len_ - n_;
@@ -175,18 +123,18 @@ void Aligner::start_alignment(sim::cycle_t now) {
   if (job_.crc_error) {
     // The descriptor failed its footer CRC: nothing in it can be trusted.
     error_flags_ |= kErrCrc;
-    finish_alignment(false, 0, 0, now);
+    finish_alignment(false, 0, 0);
     return;
   }
   if (job_.unsupported) {
     error_flags_ |= kErrUnsupported;
-    finish_alignment(false, 0, 0, now);
+    finish_alignment(false, 0, 0);
     return;
   }
   // A band that cannot contain the final diagonal can never succeed; the
   // Aligner bails out like a score overflow would.
   if (k_align_ > cfg_.k_max || k_align_ < -cfg_.k_max) {
-    finish_alignment(false, 0, 0, now);
+    finish_alignment(false, 0, 0);
     return;
   }
 
@@ -198,9 +146,10 @@ void Aligner::start_alignment(sim::cycle_t now) {
   step_score();
 }
 
-void Aligner::step_score() {
+Aligner::ScoreStep Aligner::advance_score(bool codes) {
   const AlignerTiming& t = cfg_.timing;
   const unsigned P = cfg_.parallel_sections;
+  ScoreStep step;
 
   // ---- extend(s): advance every valid M cell of the current wavefront
   // through the cycle-accurate Extend sub-module (Figure 7) in one fused
@@ -215,81 +164,81 @@ void Aligner::step_score() {
                         P, t.extend_fill, t.extend_batch_overhead);
     extend_invocations_ += ext.invocations;
     extend_matched_bases_ += ext.matched;
-    if (ext.cycles > 0) {
-      phase_cycles_.extend += ext.cycles;
-      batches_.push_back(Batch{ext.cycles, {}});
-    }
+    step.extend = ext.cycles;
+    phase_cycles_.extend += ext.cycles;
 
     // ---- end-of-alignment check (after extension, §2.3).
     if (current_->m(k_align_) == m_len_) {
-      finish_alignment(true, s_, k_align_, 0);
-      return;
+      conclude(true, s_);
+      step.k_reached = k_align_;
+      return step;
     }
   }
 
   // ---- score overflow check (Eq. 6).
   if (s_ + 1 > cfg_.score_max()) {
-    const diag_t k_reached = current_ != nullptr ? current_->hi() : 0;
-    finish_alignment(false, 0, k_reached, 0);
-    return;
+    conclude(false, 0);
+    step.k_reached = current_ != nullptr ? current_->hi() : 0;
+    return step;
   }
 
-  // ---- compute(s+1): build the next wavefront batch by batch.
+  // ---- compute(s+1): the shared row kernel over the whole wavefront; the
+  // P-block batch split is only a matter of timing and of the BT stream.
   ++s_;
   const WfBounds& bounds = geom_->bounds(s_);
   if (!bounds.present()) {
     current_ = nullptr;
-    phase_cycles_.overhead += 1;
-    batches_.push_back(Batch{1, {}});  // score-counter tick only
-    return;
+    step.overhead = 1;  // score-counter tick only
+    phase_cycles_.overhead += step.overhead;
+    return step;
   }
-
-  // fill = false: the batch loop below writes every M/I/D cell of
+  // fill = false: the row kernel writes every M/I/D cell of
   // [bounds.lo, bounds.hi] before the wavefront is read.
   core::Wavefront& out = make_wavefront(s_, bounds.lo, bounds.hi,
                                         /*fill=*/false);
-  // The three source wavefronts are per-score invariants; resolving them
-  // once here (instead of three ring lookups per cell via
-  // gather_sources) is observationally identical.
-  const SrcView vx = view_of(wavefront(s_ - cfg_.pen.mismatch));
-  const SrcView voe = view_of(wavefront(s_ - cfg_.pen.open_total()));
-  const SrcView ve = view_of(wavefront(s_ - cfg_.pen.gap_extend));
-  offset_t* const om = out.row_m();
-  offset_t* const oi = out.row_i();
-  offset_t* const od = out.row_d();
-  bool first_batch = true;
-  for (diag_t base = bounds.lo; base <= bounds.hi;
-       base += static_cast<diag_t>(P)) {
-    const diag_t last =
-        std::min(bounds.hi, base + static_cast<diag_t>(P) - 1);
-    std::vector<std::uint8_t> codes;  // full block even when partial
-    if (bt_enabled_) codes.assign(P, 0);
-    for (diag_t k = base; k <= last; ++k) {
-      const core::WfCell cell = cell_at(vx, voe, ve, k, n_, m_len_);
-      const auto oidx = static_cast<std::size_t>(k - bounds.lo);
-      om[oidx] = cell.m;
-      oi[oidx] = cell.i;
-      od[oidx] = cell.d;
-      // Origin codes feed only the backtrace stream; NBT runs skip the
-      // packing work entirely.
-      if (bt_enabled_) {
-        codes[static_cast<std::size_t>(k - base)] =
-            core::pack_origin_bits(cell);
-      }
-    }
+  step.width = static_cast<unsigned>(out.width());
+  if (codes) codes_.resize(step.width);
+  core::compute_wf_row(
+      {core::row_view(wavefront(s_ - cfg_.pen.mismatch)),
+       core::row_view(wavefront(s_ - cfg_.pen.open_total())),
+       core::row_view(wavefront(s_ - cfg_.pen.gap_extend))},
+      bounds.lo, bounds.hi, n_, m_len_,
+      {out.row_m(), out.row_i(), out.row_d(),
+       codes ? codes_.data() : nullptr});
+  const unsigned blocks = (step.width + P - 1) / P;
+  step.compute = blocks * t.compute_batch_ii + t.compute_pipeline;
+  step.overhead = t.per_score_overhead;
+  phase_cycles_.compute += step.compute;
+  phase_cycles_.overhead += step.overhead;
+  current_ = &out;
+  return step;
+}
+
+void Aligner::step_score() {
+  const AlignerTiming& t = cfg_.timing;
+  const unsigned P = cfg_.parallel_sections;
+  const ScoreStep step = advance_score(/*codes=*/bt_enabled_);
+  if (step.extend > 0) batches_.push_back(Batch{step.extend, {}});
+  if (done_) {
+    queue_result(step.k_reached);
+    return;
+  }
+  // One compute batch per P-block; in BT mode each releases its block's
+  // origin codes, packed 5 bits a cell over the full P-cell block (a
+  // partial block's missing cells pack as 0).
+  for (unsigned base = 0; base < step.width; base += P) {
     Batch batch;
-    batch.cycles = t.compute_batch_ii + (first_batch ? t.compute_pipeline : 0);
-    phase_cycles_.compute += batch.cycles;
-    first_batch = false;
+    batch.cycles = t.compute_batch_ii + (base == 0 ? t.compute_pipeline : 0);
     if (bt_enabled_) {
-      const std::vector<std::uint8_t> payload = pack_5bit_stream(codes);
-      for (std::size_t pos = 0; pos < payload.size();
+      std::array<std::uint8_t, kBtQueueCapacity * kBtPayloadBytes> payload{};
+      pack_5bit_into(std::span<const std::uint8_t>(codes_).subspan(
+                         base, std::min(P, step.width - base)),
+                     payload);
+      for (std::size_t pos = 0; pos < packed_5bit_bytes(P);
            pos += kBtPayloadBytes) {
         BtTransaction txn;
-        for (std::size_t idx = 0;
-             idx < kBtPayloadBytes && pos + idx < payload.size(); ++idx) {
-          txn.data[idx] = payload[pos + idx];
-        }
+        std::copy_n(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+                    kBtPayloadBytes, txn.data.begin());
         txn.counter = txn_counter_++;
         txn.id = job_.id & kBtIdMask;
         txn.last = false;
@@ -298,120 +247,12 @@ void Aligner::step_score() {
     }
     batches_.push_back(std::move(batch));
   }
-  phase_cycles_.overhead += t.per_score_overhead;
-  batches_.push_back(Batch{t.per_score_overhead, {}});
-  current_ = &out;
+  batches_.push_back(Batch{step.overhead, {}});
 }
 
 unsigned Aligner::step_score_fused() {
-  const AlignerTiming& t = cfg_.timing;
-  const unsigned P = cfg_.parallel_sections;
-  unsigned cycles = 0;
-
-  // ---- extend(s): identical functional updates and cycle accounting to
-  // step_score()'s extend phase.
-  if (current_ != nullptr) {
-    ++wavefront_steps_;
-    const ExtendUnit unit(job_.a, job_.b);
-    const ExtendUnit::RowResult ext =
-        unit.extend_row(current_->row_m(), current_->lo(), current_->width(),
-                        P, t.extend_fill, t.extend_batch_overhead);
-    extend_invocations_ += ext.invocations;
-    extend_matched_bases_ += ext.matched;
-    if (ext.cycles > 0) {
-      phase_cycles_.extend += ext.cycles;
-      cycles += ext.cycles;
-    }
-    if (current_->m(k_align_) == m_len_) {
-      done_ = true;
-      pending_record_ = PairRecord{job_.id, true, s_, 0};
-      return cycles;
-    }
-  }
-
-  if (s_ + 1 > cfg_.score_max()) {
-    done_ = true;
-    pending_record_ = PairRecord{job_.id, false, 0, 0};
-    return cycles;
-  }
-
-  // ---- compute(s+1): one flat pass — per-P-block batch boundaries only
-  // matter to the BT transaction stream, so the NBT cost collapses to
-  // blocks * ii + pipeline, charged arithmetically.
-  ++s_;
-  const WfBounds& bounds = geom_->bounds(s_);
-  if (!bounds.present()) {
-    current_ = nullptr;
-    phase_cycles_.overhead += 1;
-    return cycles + 1;  // the score-counter-only tick
-  }
-
-  core::Wavefront& out = make_wavefront(s_, bounds.lo, bounds.hi,
-                                        /*fill=*/false);
-  const SrcView vx = view_of(wavefront(s_ - cfg_.pen.mismatch));
-  const SrcView voe = view_of(wavefront(s_ - cfg_.pen.open_total()));
-  const SrcView ve = view_of(wavefront(s_ - cfg_.pen.gap_extend));
-  offset_t* const om = out.row_m();
-  offset_t* const oi = out.row_i();
-  offset_t* const od = out.row_d();
-  // Interior / edge split: inside [ilo, ihi] every source access (vx at k,
-  // voe and ve at k-1 and k+1) is in range, so the checked view accessors
-  // collapse to direct loads and the matrix trim to a conditional select —
-  // a branchless elementwise loop over the rows that the compiler
-  // vectorizes. Origins are not tracked: NBT mode discards them (they
-  // only feed the BT transaction stream), and the offset values are the
-  // plain three-way max compute_wf_cell() resolves its tie-breaks to.
-  // Edge diagonals (and absent sources, whose empty views make the
-  // interior empty) take the shared checked kernel.
-  const diag_t ilo = std::max(std::max(bounds.lo, vx.lo),
-                              std::max(voe.lo, ve.lo) + 1);
-  const diag_t ihi = std::min(std::min(bounds.hi, vx.hi),
-                              std::min(voe.hi, ve.hi) - 1);
-  const auto edge_cell = [&](diag_t k) {
-    const core::WfCell cell = cell_at(vx, voe, ve, k, n_, m_len_);
-    const auto oidx = static_cast<std::size_t>(k - bounds.lo);
-    om[oidx] = cell.m;
-    oi[oidx] = cell.i;
-    od[oidx] = cell.d;
-  };
-  if (ilo > ihi) {
-    for (diag_t k = bounds.lo; k <= bounds.hi; ++k) edge_cell(k);
-  } else {
-    for (diag_t k = bounds.lo; k < ilo; ++k) edge_cell(k);
-    const offset_t* const xm = vx.m + (ilo - vx.lo);
-    const offset_t* const oem = voe.m + (ilo - voe.lo);
-    const offset_t* const vei = ve.i + (ilo - ve.lo);
-    const offset_t* const ved = ve.d + (ilo - ve.lo);
-    offset_t* const bm = om + (ilo - bounds.lo);
-    offset_t* const bi = oi + (ilo - bounds.lo);
-    offset_t* const bd = od + (ilo - bounds.lo);
-    const offset_t pat = n_;
-    const offset_t text = m_len_;
-    const diag_t count = ihi - ilo + 1;
-    for (diag_t j = 0; j < count; ++j) {
-      const diag_t k = ilo + j;
-      const auto trim = [k, pat, text](offset_t off) {
-        const offset_t i = off - k;
-        const bool ok = off >= 0 && off <= text && i >= 0 && i <= pat;
-        return ok ? off : kOffsetNull;
-      };
-      const offset_t iv =
-          std::max(trim(oem[j - 1] + 1), trim(vei[j - 1] + 1));
-      const offset_t dv = std::max(trim(oem[j + 1]), trim(ved[j + 1]));
-      const offset_t mv = std::max(trim(xm[j] + 1), std::max(iv, dv));
-      bm[j] = mv;
-      bi[j] = iv;
-      bd[j] = dv;
-    }
-    for (diag_t k = ihi + 1; k <= bounds.hi; ++k) edge_cell(k);
-  }
-  const auto width = static_cast<unsigned>(bounds.hi - bounds.lo + 1);
-  const unsigned blocks = (width + P - 1) / P;
-  const unsigned compute = blocks * t.compute_batch_ii + t.compute_pipeline;
-  phase_cycles_.compute += compute;
-  phase_cycles_.overhead += t.per_score_overhead;
-  current_ = &out;
-  return cycles + compute + t.per_score_overhead;
+  const ScoreStep step = advance_score(/*codes=*/false);
+  return step.extend + step.compute + step.overhead;
 }
 
 void Aligner::set_schedule(sim::cycle_t remaining) {
@@ -473,35 +314,35 @@ sim::cycle_t Aligner::macro_step(sim::cycle_t /*now*/, sim::cycle_t budget) {
   return used;
 }
 
-void Aligner::queue_result(bool success, score_t score, diag_t k_reached) {
+void Aligner::queue_result(diag_t k_reached) {
+  Batch batch;
+  batch.cycles = 1;
   if (bt_enabled_) {
     BtTransaction txn;
-    txn.data = pack_bt_score_record(
-        BtScoreRecord{success, static_cast<std::int16_t>(k_reached),
-                      static_cast<std::uint16_t>(
-                          std::min<score_t>(score, kNbtScoreMax))});
+    txn.data = pack_bt_score_record(BtScoreRecord{
+        pending_record_.success, static_cast<std::int16_t>(k_reached),
+        static_cast<std::uint16_t>(
+            std::min<score_t>(pending_record_.score, kNbtScoreMax))});
     txn.counter = txn_counter_++;
     txn.id = job_.id & kBtIdMask;
     txn.last = true;
-    Batch batch;
-    batch.cycles = 1;
     batch.txns.push_back(txn);
-    batches_.push_back(std::move(batch));
-  } else {
-    // NBT results bypass the batch schedule: queueing the 4-byte word takes
-    // the final cycle of the schedule's last batch.
-    Batch batch;
-    batch.cycles = 1;
-    batches_.push_back(std::move(batch));
   }
+  // NBT results bypass the batch schedule: queueing the 4-byte word takes
+  // the final cycle of the schedule's last batch.
+  batches_.push_back(std::move(batch));
 }
 
-void Aligner::finish_alignment(bool success, score_t score, diag_t k_reached,
-                               sim::cycle_t /*now*/) {
+void Aligner::conclude(bool success, score_t score) {
   done_ = true;
   pending_record_ = PairRecord{job_.id, success, score, 0};
+}
+
+void Aligner::finish_alignment(bool success, score_t score,
+                               diag_t k_reached) {
+  conclude(success, score);
   state_ = State::kRun;  // drain remaining batches, then idle
-  queue_result(success, score, k_reached);
+  queue_result(k_reached);
 }
 
 sim::cycle_t Aligner::quiet_for(sim::cycle_t /*now*/) const {
@@ -578,7 +419,7 @@ void Aligner::tick(sim::cycle_t now) {
         --init_countdown_;
         return;
       }
-      start_alignment(now);
+      start_alignment();
       return;
     case State::kRun:
       break;
@@ -597,7 +438,7 @@ void Aligner::tick(sim::cycle_t now) {
     ecc_poisoned_ = false;
     batches_.clear();
     countdown_ = 0;
-    finish_alignment(false, 0, 0, now);
+    finish_alignment(false, 0, 0);
   }
 
   if (batches_.empty()) {

@@ -94,9 +94,11 @@ class Aligner final : public sim::Component {
 
     bool operator==(const PairRecord&) const = default;
   };
+  /// This run's finished pairs (cleared by Accelerator::start).
   [[nodiscard]] const std::vector<PairRecord>& records() const {
     return records_;
   }
+  void clear_records() { records_.clear(); }
   [[nodiscard]] std::uint64_t output_stall_cycles() const {
     return output_stall_cycles_;
   }
@@ -115,7 +117,7 @@ class Aligner final : public sim::Component {
   }
 
   // PMU counters (hw/perf.hpp): monotone, observational only.
-  /// Score iterations executed (step_score calls with a live wavefront).
+  /// Score iterations executed (advance_score calls with a live wavefront).
   [[nodiscard]] std::uint64_t wavefront_steps() const {
     return wavefront_steps_;
   }
@@ -170,14 +172,28 @@ class Aligner final : public sim::Component {
     std::vector<BtTransaction> txns;
   };
 
-  void start_alignment(sim::cycle_t now);
-  /// Runs one score iteration functionally and appends its batch schedule.
-  /// Sets done_ when the alignment finishes (success or overflow).
+  void start_alignment();
+  /// What one score iteration cost, by phase. The compute and overhead
+  /// cycles are zero when the iteration ended the alignment.
+  struct ScoreStep {
+    unsigned extend = 0;    ///< Extend sub-module batches (0: none)
+    unsigned compute = 0;   ///< compute batches: blocks * ii + pipeline
+    unsigned overhead = 0;  ///< per-score bookkeeping, or the null-score tick
+    unsigned width = 0;     ///< diagonals computed (0: none)
+    diag_t k_reached = 0;   ///< the BT score record's k once done_
+  };
+  /// One score iteration's functional work, shared by step_score() and
+  /// step_score_fused(): extend, the end check, the Eq.-6 overflow check,
+  /// the next wavefront's bounds and row compute (origin codes into codes_
+  /// when `codes`), and the PMU and phase tallies. Sets done_ when the
+  /// alignment finishes (success or overflow); schedules nothing.
+  ScoreStep advance_score(bool codes);
+  /// advance_score() rendered as timed batches: one per P-block, carrying
+  /// the block's BT transactions in BT mode, then the result on finish.
   void step_score();
-  /// Fused NBT score iteration: same functional updates and PMU/phase
-  /// tallies as step_score(), but returns the iteration's schedule cost
-  /// directly (excluding the release cycle when it finishes the
-  /// alignment) instead of materializing timed batches.
+  /// advance_score() rendered as one sum for the NBT macro-step: the
+  /// iteration's schedule cost, excluding the release cycle when it
+  /// finishes the alignment.
   unsigned step_score_fused();
   /// Replaces the pending (all txn-free) schedule with one merged batch
   /// of `remaining` cycles. Batch boundaries inside a txn-free schedule
@@ -185,9 +201,13 @@ class Aligner final : public sim::Component {
   /// identically on the merged form — so this is how macro_step leaves
   /// bit-identical observable state after a budget stop.
   void set_schedule(sim::cycle_t remaining);
-  void finish_alignment(bool success, score_t score, diag_t k_reached,
-                        sim::cycle_t now);
-  void queue_result(bool success, score_t score, diag_t k_reached);
+  /// Records the alignment's result (done_, pending_record_).
+  void conclude(bool success, score_t score);
+  /// conclude(), then schedules the result release.
+  void finish_alignment(bool success, score_t score, diag_t k_reached);
+  /// Appends the result-release batch: the BT score record, or in NBT the
+  /// cycle that queues the result word.
+  void queue_result(diag_t k_reached);
 
   [[nodiscard]] core::Wavefront* wavefront(score_t s);
   /// Activates the ring slot for score s, recycling the slot's previous
@@ -224,6 +244,10 @@ class Aligner final : public sim::Component {
   };
   std::vector<Slot> ring_;
   score_t window_;
+
+  // Origin codes of the wavefront being computed (BT mode), reused across
+  // scores; each P-block's transactions are packed straight from it.
+  std::vector<std::uint8_t> codes_;
 
   // Timed batch schedule of the current score iteration.
   std::deque<Batch> batches_;

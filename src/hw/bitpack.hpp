@@ -16,14 +16,15 @@ namespace wfasic::hw {
   return (count * 5 + 7) / 8;
 }
 
-/// Packs `codes` (each < 32) into a little-endian-bit-order byte stream:
-/// field i occupies bits [5i, 5i+5), bit b of the stream is byte b/8,
-/// bit b%8.
-[[nodiscard]] inline std::vector<std::uint8_t> pack_5bit_stream(
-    std::span<const std::uint8_t> codes) {
-  std::vector<std::uint8_t> bytes(packed_5bit_bytes(codes.size()), 0);
+/// Packs `codes` (each < 32) into the zeroed `bytes`, little-endian bit
+/// order: field i occupies bits [5i, 5i+5), bit b of the stream is byte
+/// b/8, bit b%8. `bytes` must hold packed_5bit_bytes(codes.size()).
+inline void pack_5bit_into(std::span<const std::uint8_t> codes,
+                           std::span<std::uint8_t> bytes) {
+  WFASIC_REQUIRE(bytes.size() >= packed_5bit_bytes(codes.size()),
+                 "pack_5bit_into: output too small");
   for (std::size_t idx = 0; idx < codes.size(); ++idx) {
-    WFASIC_REQUIRE(codes[idx] < 32, "pack_5bit_stream: code >= 32");
+    WFASIC_REQUIRE(codes[idx] < 32, "pack_5bit_into: code >= 32");
     const std::size_t bit = idx * 5;
     const std::size_t byte = bit / 8;
     const std::size_t shift = bit % 8;
@@ -32,6 +33,13 @@ namespace wfasic::hw {
       bytes[byte + 1] |= static_cast<std::uint8_t>(codes[idx] >> (8 - shift));
     }
   }
+}
+
+/// pack_5bit_into a fresh byte stream of exactly the packed size.
+[[nodiscard]] inline std::vector<std::uint8_t> pack_5bit_stream(
+    std::span<const std::uint8_t> codes) {
+  std::vector<std::uint8_t> bytes(packed_5bit_bytes(codes.size()), 0);
+  pack_5bit_into(codes, bytes);
   return bytes;
 }
 

@@ -73,9 +73,11 @@ class Extractor final : public sim::Component {
 
     bool operator==(const PairReadRecord&) const = default;
   };
+  /// This run's ingested pairs (cleared by Accelerator::start).
   [[nodiscard]] const std::vector<PairReadRecord>& records() const {
     return records_;
   }
+  void clear_records() { records_.clear(); }
 
   void tick(sim::cycle_t now) override;
 

@@ -283,6 +283,22 @@ TEST(CheckpointEquivalence, IdleRoundTripBlobStable) {
   EXPECT_EQ(blob, dst.accel.snapshot());
 }
 
+TEST(CheckpointEquivalence, BlobSizeDoesNotGrowAcrossLaunches) {
+  // A blob carries one run's per-pair records, not those of every launch
+  // since the device was built: the same batch leaves a blob of the same
+  // size after 1 launch and after 100.
+  const auto pairs = make_pairs(953, 4, 110, 0.05);
+  Device d(StepStrategy::kFast);
+  launch(d, pairs, false);
+  (void)d.driver.wait_idle();
+  const std::size_t after_one = d.accel.snapshot().size();
+  for (int run = 1; run < 100; ++run) {
+    launch(d, pairs, false);
+    (void)d.driver.wait_idle();
+  }
+  EXPECT_EQ(d.accel.snapshot().size(), after_one);
+}
+
 // ---------------------------------------------------------------------------
 // Blob hardening: reject loudly, never resume silently wrong state.
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -600,6 +602,77 @@ TEST(PipelinedMakespan, OverlapsPhasesAndRespectsBounds) {
   const std::uint64_t one = pipelined_makespan(
       std::vector<PhaseSample>{{10, 100, 20, 0}}, 4);
   EXPECT_EQ(one, 130u);
+}
+
+TEST(PipelinedMakespan, RejectsAnOutOfRangeDeviceBeforeScheduling) {
+  // The bad index is the first job's, so a schedule that looked it up
+  // before checking would read past the per-device state.
+  const std::vector<PhaseSample> jobs{{10, 100, 20, 5}, {10, 100, 20, 0}};
+  EXPECT_DEATH((void)pipelined_makespan(jobs, 2), "device index out of range");
+}
+
+/// The greedy list schedule written as a scan over all jobs at every step:
+/// the specification pipelined_makespan must reproduce.
+std::uint64_t scan_makespan(std::span<const PhaseSample> jobs,
+                            unsigned num_devices, unsigned slots_per_device) {
+  const std::size_t n = jobs.size();
+  std::vector<std::uint64_t> align_end(n, 0);
+  std::vector<std::uint64_t> device_free(num_devices, 0);
+  std::vector<unsigned> in_flight(num_devices, 0);
+  std::vector<char> encoded(n, 0);
+  std::vector<char> decoded(n, 0);
+  std::uint64_t cpu_t = 0;
+  std::size_t next_encode = 0;
+  std::size_t remaining = n;
+  while (remaining > 0) {
+    std::size_t decode_pick = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (encoded[i] && !decoded[i] &&
+          (decode_pick == n || align_end[i] < align_end[decode_pick])) {
+        decode_pick = i;
+      }
+    }
+    const bool can_encode =
+        next_encode < n &&
+        in_flight[jobs[next_encode].device] < slots_per_device;
+    if (decode_pick < n && (align_end[decode_pick] <= cpu_t || !can_encode)) {
+      const PhaseSample& job = jobs[decode_pick];
+      cpu_t = std::max(cpu_t, align_end[decode_pick]) + job.decode;
+      decoded[decode_pick] = 1;
+      --in_flight[job.device];
+      --remaining;
+    } else {
+      const std::size_t i = next_encode++;
+      const PhaseSample& job = jobs[i];
+      cpu_t += job.encode;
+      align_end[i] = std::max(device_free[job.device], cpu_t) + job.accel;
+      device_free[job.device] = align_end[i];
+      ++in_flight[job.device];
+      encoded[i] = 1;
+    }
+  }
+  return cpu_t;
+}
+
+TEST(PipelinedMakespan, MatchesFullScanScheduleOnRandomJobs) {
+  Prng prng(37);
+  for (int trial = 0; trial < 12000; ++trial) {
+    const auto devices = static_cast<unsigned>(prng.next_range(1, 5));
+    const auto slots = static_cast<unsigned>(prng.next_range(1, 3));
+    // Small phase ranges make equal align ends (decode ties) common.
+    const std::uint64_t phase_max = prng.next_below(6) + 1;
+    std::vector<PhaseSample> jobs(prng.next_below(41));
+    for (PhaseSample& job : jobs) {
+      job.encode = prng.next_below(phase_max);
+      job.accel = prng.next_below(2 * phase_max);
+      job.decode = prng.next_below(phase_max);
+      job.device = static_cast<unsigned>(prng.next_below(devices));
+    }
+    ASSERT_EQ(pipelined_makespan(jobs, devices, slots),
+              scan_makespan(jobs, devices, slots))
+        << "trial " << trial << ": " << jobs.size() << " jobs, " << devices
+        << " devices, " << slots << " slots";
+  }
 }
 
 }  // namespace
