@@ -1,6 +1,7 @@
 #include "drv/backtrace_cpu.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -31,46 +32,64 @@ std::size_t txns_per_block(unsigned parallel_sections) {
     }                                         \
   } while (0)
 
-}  // namespace
-
-std::vector<BtAlignment> parse_bt_stream(const mem::MainMemory& memory,
-                                         std::uint64_t out_addr,
-                                         std::size_t num_pairs,
-                                         bool separate_data,
-                                         cpu::BtCpuCounters* counters,
-                                         bool crc, std::uint32_t crc_salt) {
-  std::vector<BtAlignment> done;
-  std::map<std::uint32_t, BtAlignment> open;  // id -> in-flight alignment
-  std::map<std::uint32_t, Crc32> crcs;        // id -> running stream CRC
-  std::size_t last_seen = 0;
-  std::uint64_t addr = out_addr;
-  std::uint32_t current_id = 0;
-  bool have_current = false;
-
-  const auto read_txn = [&](mem::Beat& beat) {
-    memory.read(addr, std::span<std::uint8_t>(beat.data.data(),
-                                              mem::kBeatBytes));
-    addr += mem::kBeatBytes;
-    return hw::unpack_bt_transaction(beat);
+/// The one walk over the backtrace stream behind both entry points: reads
+/// at most `max_beats` beats and records the first anomaly. A damaged
+/// alignment is dropped and the walk goes on, unless `stop_at_anomaly` —
+/// the strict reader has no read bound, so walking on past damage could
+/// run it into unwritten memory.
+BtStreamScan scan_bt_stream(const mem::MainMemory& memory,
+                            std::uint64_t out_addr, std::uint64_t max_beats,
+                            std::size_t num_pairs, bool separate_data,
+                            cpu::BtCpuCounters* counters, bool crc,
+                            std::uint32_t crc_salt, bool stop_at_anomaly) {
+  BtStreamScan scan;
+  const auto flag = [&scan](const char* why) {
+    if (scan.anomaly == nullptr) scan.anomaly = why;
   };
+  std::map<std::uint32_t, BtAlignment> open;  // id -> in-flight alignment
+  std::set<std::uint32_t> poisoned;           // ids with counter anomalies
+  std::map<std::uint32_t, Crc32> crcs;        // id -> running stream CRC
+  std::map<std::uint32_t, BtAlignment> awaiting;  // Last seen, need footer
+  std::uint32_t current_id = 0;  // single-Aligner method: the open alignment
+  bool have_current = false;
+  std::size_t complete = 0;
 
-  while (last_seen < num_pairs) {
+  for (std::uint64_t beat_idx = 0;
+       beat_idx < max_beats &&
+       (complete < num_pairs || (crc && !awaiting.empty())) &&
+       !(stop_at_anomaly && !scan.clean());
+       ++beat_idx) {
     mem::Beat beat;
-    const hw::BtTransaction txn = read_txn(beat);
+    memory.read(out_addr + beat_idx * mem::kBeatBytes,
+                std::span<std::uint8_t>(beat.data.data(), mem::kBeatBytes));
+    const hw::BtTransaction txn = hw::unpack_bt_transaction(beat);
     if (counters != nullptr && separate_data) {
       // Multi-Aligner method: the CPU touches and copies every
       // transaction while separating the interleaved stream by id (§4.5).
       ++counters->blocks_scanned;
       ++counters->blocks_copied;
     }
+
     if (crc) {
       if (hw::is_bt_crc_footer(txn)) {
-        const auto it = crcs.find(txn.id);
-        WFASIC_REQUIRE(it != crcs.end() &&
-                           hw::bt_crc_footer_value(txn) == it->second.value(),
-                       "parse_bt_stream: alignment failed its stream CRC");
-        crcs.erase(it);
+        // An alignment is only accepted once its footer CRC matches the
+        // accumulator over every beat that reached memory — corrupted,
+        // dropped, and stale-from-an-earlier-launch beats all diverge.
+        const auto acc = crcs.find(txn.id);
+        const auto wait = awaiting.find(txn.id);
+        if (acc != crcs.end() && wait != awaiting.end() &&
+            hw::bt_crc_footer_value(txn) == acc->second.value()) {
+          scan.alignments.push_back(std::move(wait->second));
+        } else {
+          flag("parse_bt_stream: alignment failed its stream CRC");
+        }
+        if (acc != crcs.end()) crcs.erase(acc);
+        if (wait != awaiting.end()) awaiting.erase(wait);
         continue;  // footers carry no payload
+      }
+      // Every record is in: only the final alignments' footers may follow.
+      if (complete >= num_pairs) {
+        flag("parse_bt_stream: expected a trailing CRC footer");
       }
       // Mirrors the Collector: every packed beat of the alignment,
       // including the Last one, folds into the per-alignment accumulator.
@@ -82,77 +101,79 @@ std::vector<BtAlignment> parse_bt_stream(const mem::MainMemory& memory,
       // Single-Aligner method: the stream must be consecutive per
       // alignment — an interleaved transaction means the driver was used
       // with a multi-Aligner accelerator by mistake.
-      if (have_current) {
-        WFASIC_REQUIRE(txn.id == current_id,
-                       "parse_bt_stream: interleaved stream requires the "
-                       "data-separation method");
-      } else {
+      if (!have_current) {
         current_id = txn.id;
         have_current = true;
+      } else if (txn.id != current_id) {
+        flag("parse_bt_stream: interleaved stream requires the "
+             "data-separation method");
       }
     }
 
     BtAlignment& alignment = open[txn.id];
     alignment.id = txn.id;
+    // Transaction counters must be gapless: payload txns then the record.
+    const std::size_t expected_counter =
+        alignment.payload.size() / hw::kBtPayloadBytes;
     if (txn.last) {
-      const hw::BtScoreRecord record = hw::unpack_bt_score_record(txn.data);
-      alignment.success = record.success;
-      alignment.score = record.score;
-      alignment.k_reached = record.k_reached;
-      // Transaction counters must be gapless: payload txns then the record.
-      const std::size_t expected_payload_txns =
-          alignment.payload.size() / hw::kBtPayloadBytes;
-      WFASIC_REQUIRE(txn.counter == expected_payload_txns,
-                     "parse_bt_stream: transaction counter gap");
-      if (counters != nullptr && !separate_data) {
-        // Single-Aligner method: transactions are consecutive per
-        // alignment and carry their in-alignment counter, so the CPU finds
-        // each boundary with a binary search over the counter
-        // discontinuity — O(log n) probes instead of a full scan. This is
-        // the §4.5 "method that identifies these boundaries" and the
-        // reason the No-Sep configuration wins Figure 11.
-        std::size_t probes = 2;
-        for (std::size_t span = expected_payload_txns + 1; span > 1;
-             span /= 2) {
-          ++probes;
+      if (!poisoned.contains(txn.id) && txn.counter == expected_counter) {
+        const hw::BtScoreRecord record =
+            hw::unpack_bt_score_record(txn.data);
+        alignment.success = record.success;
+        alignment.score = record.score;
+        alignment.k_reached = record.k_reached;
+        if (counters != nullptr && !separate_data) {
+          // Single-Aligner method: transactions are consecutive per
+          // alignment and carry their in-alignment counter, so the CPU
+          // finds each boundary with a binary search over the counter
+          // discontinuity — O(log n) probes instead of a full scan. This
+          // is the §4.5 "method that identifies these boundaries" and the
+          // reason the No-Sep configuration wins Figure 11.
+          std::size_t probes = 2;
+          for (std::size_t span = expected_counter + 1; span > 1;
+               span /= 2) {
+            ++probes;
+          }
+          counters->blocks_scanned += probes;
         }
-        counters->blocks_scanned += probes;
+        if (crc) {
+          // Hold the alignment until its footer confirms the stream; a
+          // second Last for the same id (corruption) drops the first.
+          if (awaiting.contains(txn.id)) {
+            flag("parse_bt_stream: second score record for one alignment");
+          }
+          awaiting.insert_or_assign(txn.id, std::move(alignment));
+        } else {
+          scan.alignments.push_back(std::move(alignment));
+        }
+      } else {
+        flag("parse_bt_stream: transaction counter gap");
       }
-      done.push_back(std::move(alignment));
       open.erase(txn.id);
-      ++last_seen;
+      poisoned.erase(txn.id);
+      ++complete;
       have_current = false;
-    } else {
-      WFASIC_REQUIRE(
-          txn.counter ==
-              alignment.payload.size() / hw::kBtPayloadBytes,
-          "parse_bt_stream: out-of-order transaction counter");
+    } else if (txn.counter != expected_counter) {
+      // Counter gap: a beat of this alignment was lost, duplicated, or
+      // corrupted. Poison the id so its eventual score record is dropped.
+      flag("parse_bt_stream: out-of-order transaction counter");
+      poisoned.insert(txn.id);
+    } else if (!poisoned.contains(txn.id)) {
       alignment.payload.insert(alignment.payload.end(), txn.data.begin(),
                                txn.data.end());
     }
   }
-  WFASIC_REQUIRE(open.empty(),
-                 "parse_bt_stream: stream ended with incomplete alignments");
-  // The final alignments' CRC footers trail their Last beats; drain and
-  // verify them before declaring the stream good.
-  while (crc && !crcs.empty()) {
-    mem::Beat beat;
-    const hw::BtTransaction txn = read_txn(beat);
-    if (counters != nullptr && separate_data) {
-      ++counters->blocks_scanned;
-      ++counters->blocks_copied;
-    }
-    WFASIC_REQUIRE(hw::is_bt_crc_footer(txn),
-                   "parse_bt_stream: expected a trailing CRC footer");
-    const auto it = crcs.find(txn.id);
-    WFASIC_REQUIRE(it != crcs.end() &&
-                       hw::bt_crc_footer_value(txn) == it->second.value(),
-                   "parse_bt_stream: alignment failed its stream CRC");
-    crcs.erase(it);
+  if (!open.empty() || complete < num_pairs) {
+    flag("parse_bt_stream: stream ended with incomplete alignments");
   }
-  if (counters != nullptr) counters->alignments += done.size();
-  return done;
+  if (crc && !awaiting.empty()) {
+    flag("parse_bt_stream: expected a trailing CRC footer");
+  }
+  if (counters != nullptr) counters->alignments += scan.alignments.size();
+  return scan;
 }
+
+}  // namespace
 
 std::optional<core::AlignResult> try_reconstruct_alignment(
     const BtAlignment& bt, std::string_view a, std::string_view b,
@@ -355,85 +376,25 @@ core::AlignResult reconstruct_alignment(const BtAlignment& bt,
 BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
                                  std::uint64_t out_addr,
                                  std::uint64_t max_bytes,
-                                 std::size_t num_pairs, bool crc,
+                                 std::size_t num_pairs, bool separate_data,
+                                 cpu::BtCpuCounters* counters, bool crc,
                                  std::uint32_t crc_salt) {
-  BtStreamScan scan;
-  std::map<std::uint32_t, BtAlignment> open;  // id -> in-flight alignment
-  std::set<std::uint32_t> poisoned;           // ids with counter anomalies
-  std::map<std::uint32_t, Crc32> crcs;        // id -> running stream CRC
-  std::map<std::uint32_t, BtAlignment> awaiting;  // Last seen, need footer
-  std::uint64_t addr = out_addr;
-  const std::uint64_t end =
-      out_addr + (max_bytes / mem::kBeatBytes) * mem::kBeatBytes;
-  std::size_t complete = 0;
+  return scan_bt_stream(memory, out_addr, max_bytes / mem::kBeatBytes,
+                        num_pairs, separate_data, counters, crc, crc_salt,
+                        /*stop_at_anomaly=*/false);
+}
 
-  while ((complete < num_pairs || (crc && !awaiting.empty())) &&
-         addr + mem::kBeatBytes <= end) {
-    mem::Beat beat;
-    memory.read(addr,
-                std::span<std::uint8_t>(beat.data.data(), mem::kBeatBytes));
-    addr += mem::kBeatBytes;
-    const hw::BtTransaction txn = hw::unpack_bt_transaction(beat);
-
-    if (crc) {
-      if (hw::is_bt_crc_footer(txn)) {
-        // An alignment is only accepted once its footer CRC matches the
-        // accumulator over every beat that reached memory — corrupted,
-        // dropped, and stale-from-an-earlier-launch beats all diverge.
-        const auto acc = crcs.find(txn.id);
-        const auto wait = awaiting.find(txn.id);
-        if (acc != crcs.end() && wait != awaiting.end() &&
-            hw::bt_crc_footer_value(txn) == acc->second.value()) {
-          scan.alignments.push_back(std::move(wait->second));
-        } else {
-          scan.clean = false;  // drop the damaged alignment
-        }
-        if (acc != crcs.end()) crcs.erase(acc);
-        if (wait != awaiting.end()) awaiting.erase(wait);
-        continue;
-      }
-      crcs.try_emplace(txn.id, Crc32(crc_salt))
-          .first->second.update(beat.data.data(), mem::kBeatBytes);
-    }
-
-    BtAlignment& alignment = open[txn.id];
-    alignment.id = txn.id;
-    const std::size_t expected_counter =
-        alignment.payload.size() / hw::kBtPayloadBytes;
-    if (txn.last) {
-      if (!poisoned.contains(txn.id) && txn.counter == expected_counter) {
-        const hw::BtScoreRecord record =
-            hw::unpack_bt_score_record(txn.data);
-        alignment.success = record.success;
-        alignment.score = record.score;
-        alignment.k_reached = record.k_reached;
-        if (crc) {
-          // Hold the alignment until its footer confirms the stream; a
-          // second Last for the same id (corruption) drops the first.
-          if (awaiting.contains(txn.id)) scan.clean = false;
-          awaiting.insert_or_assign(txn.id, std::move(alignment));
-        } else {
-          scan.alignments.push_back(std::move(alignment));
-        }
-      } else {
-        scan.clean = false;  // drop the damaged alignment
-      }
-      open.erase(txn.id);
-      poisoned.erase(txn.id);
-      ++complete;
-    } else if (txn.counter != expected_counter) {
-      // Counter gap: a beat of this alignment was lost, duplicated, or
-      // corrupted. Poison the id so its eventual score record is dropped.
-      scan.clean = false;
-      poisoned.insert(txn.id);
-    } else if (!poisoned.contains(txn.id)) {
-      alignment.payload.insert(alignment.payload.end(), txn.data.begin(),
-                               txn.data.end());
-    }
-  }
-  if (!open.empty() || complete < num_pairs) scan.clean = false;
-  if (crc && !awaiting.empty()) scan.clean = false;  // footer never arrived
-  return scan;
+std::vector<BtAlignment> parse_bt_stream(const mem::MainMemory& memory,
+                                         std::uint64_t out_addr,
+                                         std::size_t num_pairs,
+                                         bool separate_data,
+                                         cpu::BtCpuCounters* counters,
+                                         bool crc, std::uint32_t crc_salt) {
+  BtStreamScan scan = scan_bt_stream(
+      memory, out_addr, std::numeric_limits<std::uint64_t>::max(), num_pairs,
+      separate_data, counters, crc, crc_salt, /*stop_at_anomaly=*/true);
+  WFASIC_REQUIRE(scan.clean(), scan.anomaly);
+  return std::move(scan.alignments);
 }
 
 }  // namespace wfasic::drv

@@ -7,6 +7,10 @@
 //    interleave, so the CPU first separates them by alignment ID into
 //    per-alignment buffers (the expensive copy pass), then walks.
 //
+// One scan reads the stream for both verdicts: try_parse_bt_stream drops
+// damaged alignments and reports the first anomaly, parse_bt_stream
+// aborts on it, so the strict and tolerant readers cannot disagree.
+//
 // The walk decodes the 5-bit origin codes from (score, diagonal) cell
 // coordinates using the deterministic wavefront geometry, collects the
 // difference operations, and finally re-traverses the two sequences to
@@ -36,43 +40,49 @@ struct BtAlignment {
   std::vector<std::uint8_t> payload;
 };
 
-/// Parses the output stream at `out_addr` until `num_pairs` Last flags
-/// have been seen.
+/// What one walk over a backtrace stream found.
+struct BtStreamScan {
+  std::vector<BtAlignment> alignments;  ///< complete, internally consistent
+  /// The first inconsistency in stream order — a transaction counter gap,
+  /// an interleaved stream under the single-Aligner method, a failed or
+  /// missing CRC footer, a stream that ends early — or nullptr when there
+  /// was none. parse_bt_stream aborts with exactly this text.
+  const char* anomaly = nullptr;
+
+  [[nodiscard]] bool clean() const { return anomaly == nullptr; }
+};
+
+/// The one reader of the backtrace stream: walks at most `max_bytes` at
+/// `out_addr` (bound it by the beats the DMA actually wrote) until
+/// `num_pairs` Last flags — and, with `crc`, their footers — have been
+/// seen. It never aborts: an alignment whose transactions are
+/// inconsistent is dropped, the walk goes on, and the first anomaly is
+/// reported.
 ///
-/// `separate_data == false` is the single-Aligner method and *requires* a
-/// non-interleaved stream (aborts otherwise); `true` is the multi-Aligner
-/// method and charges the separation copies to `counters`.
+/// `separate_data` selects the §4.5 method. `false` is the single-Aligner
+/// method, whose stream must be consecutive per alignment (an interleaved
+/// transaction is an anomaly); `true` is the multi-Aligner method.
+/// `counters`, if given, is charged that method's CPU parse cost and the
+/// alignments returned.
 ///
-/// With `crc` (AcceleratorConfig::crc), every alignment's beats are
-/// accumulated into a salted CRC-32 and checked against the footer
-/// transaction the Collector emitted after its Last beat; a mismatch or a
-/// missing footer aborts (this is the strict parser — use
-/// try_parse_bt_stream for tolerant recovery).
+/// With `crc` (AcceleratorConfig::crc), an alignment is only accepted once
+/// a footer transaction carrying the matching salted CRC-32 over all its
+/// beats has been seen — write-path corruption and dropped beats
+/// (including stale beats of an earlier launch, defeated by the per-launch
+/// salt) are rejected here instead of escaping as silently wrong CIGARs.
+[[nodiscard]] BtStreamScan try_parse_bt_stream(
+    const mem::MainMemory& memory, std::uint64_t out_addr,
+    std::uint64_t max_bytes, std::size_t num_pairs, bool separate_data,
+    cpu::BtCpuCounters* counters = nullptr, bool crc = false,
+    std::uint32_t crc_salt = 0);
+
+/// Strict entry point over the same walk: no read bound, and it aborts
+/// with the anomaly's text at the first one instead of walking on.
 [[nodiscard]] std::vector<BtAlignment> parse_bt_stream(
     const mem::MainMemory& memory, std::uint64_t out_addr,
     std::size_t num_pairs, bool separate_data,
     cpu::BtCpuCounters* counters = nullptr, bool crc = false,
     std::uint32_t crc_salt = 0);
-
-/// Tolerant stream scan for the resilient driver (error-path recovery):
-/// unlike parse_bt_stream it never aborts — it reads at most `max_bytes`
-/// (bound it by the beats the DMA actually wrote), drops alignments whose
-/// transactions are inconsistent, and reports whether anomalies were seen.
-struct BtStreamScan {
-  std::vector<BtAlignment> alignments;  ///< complete, internally consistent
-  bool clean = true;  ///< false: counter gaps, truncation, or dropped data
-};
-/// With `crc`, an alignment is only accepted once a footer transaction
-/// carrying the matching salted CRC-32 over all its beats has been seen —
-/// write-path corruption and dropped beats (including stale beats of an
-/// earlier launch, defeated by the per-launch salt) are then rejected here
-/// instead of escaping as silently wrong CIGARs.
-[[nodiscard]] BtStreamScan try_parse_bt_stream(const mem::MainMemory& memory,
-                                               std::uint64_t out_addr,
-                                               std::uint64_t max_bytes,
-                                               std::size_t num_pairs,
-                                               bool crc = false,
-                                               std::uint32_t crc_salt = 0);
 
 /// Rebuilds the full alignment (score + CIGAR) of (a, b) from backtrace
 /// data, replaying the wavefront geometry to locate each cell's origin

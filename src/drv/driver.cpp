@@ -170,21 +170,44 @@ std::uint32_t nbt_record_crc(std::uint32_t word, std::uint32_t salt) {
 
 }  // namespace
 
-std::vector<hw::NbtResult> decode_nbt_results(const mem::MainMemory& memory,
-                                              const BatchLayout& batch) {
+std::vector<hw::NbtResult> try_decode_nbt_results(
+    const mem::MainMemory& memory, const BatchLayout& batch,
+    std::uint64_t beats_written, const char** anomaly) {
+  const char* first = nullptr;
   const std::size_t stride = hw::nbt_record_bytes(batch.crc);
+  const std::size_t count = static_cast<std::size_t>(std::min<std::uint64_t>(
+      batch.num_pairs, beats_written * hw::nbt_records_per_beat(batch.crc)));
   std::vector<hw::NbtResult> results;
-  results.reserve(batch.num_pairs);
-  for (std::size_t idx = 0; idx < batch.num_pairs; ++idx) {
+  results.reserve(count);
+  for (std::size_t idx = 0; idx < count; ++idx) {
     const std::uint64_t addr = batch.out_addr + idx * stride;
     const std::uint32_t word = memory.read_u32(addr);
-    if (batch.crc) {
-      WFASIC_REQUIRE(
-          memory.read_u32(addr + 4) == nbt_record_crc(word, batch.crc_salt),
-          "decode_nbt_results: result record failed its CRC");
+    if (batch.crc &&
+        memory.read_u32(addr + 4) != nbt_record_crc(word, batch.crc_salt)) {
+      // A corrupted or dropped write beat (the salt also defeats stale
+      // records of an earlier launch): drop the record, the pair retries.
+      if (first == nullptr) {
+        first = "decode_nbt_results: result record failed its CRC";
+      }
+      continue;
     }
     results.push_back(hw::unpack_nbt_result(word));
   }
+  if (first == nullptr && count < batch.num_pairs) {
+    first = "decode_nbt_results: result area ends before the last record";
+  }
+  if (anomaly != nullptr) *anomaly = first;
+  return results;
+}
+
+std::vector<hw::NbtResult> decode_nbt_results(const mem::MainMemory& memory,
+                                              const BatchLayout& batch) {
+  // Trusts num_pairs: reads every beat the batch's records occupy.
+  const std::size_t per_beat = hw::nbt_records_per_beat(batch.crc);
+  const char* anomaly = nullptr;
+  std::vector<hw::NbtResult> results = try_decode_nbt_results(
+      memory, batch, (batch.num_pairs + per_beat - 1) / per_beat, &anomaly);
+  WFASIC_REQUIRE(anomaly == nullptr, anomaly);
   return results;
 }
 
@@ -198,30 +221,6 @@ std::vector<hw::NbtResult> decode_nbt_results_sorted(
   return results;
 }
 
-std::vector<hw::NbtResult> decode_nbt_results_partial(
-    const mem::MainMemory& memory, const BatchLayout& batch,
-    std::uint64_t beats_written) {
-  const std::size_t stride = hw::nbt_record_bytes(batch.crc);
-  const std::uint64_t available =
-      beats_written * hw::nbt_records_per_beat(batch.crc);
-  const std::size_t count = static_cast<std::size_t>(
-      std::min<std::uint64_t>(batch.num_pairs, available));
-  std::vector<hw::NbtResult> results;
-  results.reserve(count);
-  for (std::size_t idx = 0; idx < count; ++idx) {
-    const std::uint64_t addr = batch.out_addr + idx * stride;
-    const std::uint32_t word = memory.read_u32(addr);
-    if (batch.crc &&
-        memory.read_u32(addr + 4) != nbt_record_crc(word, batch.crc_salt)) {
-      // A corrupted or dropped write beat (the salt also defeats stale
-      // records of an earlier launch): drop the record, the pair retries.
-      continue;
-    }
-    results.push_back(hw::unpack_nbt_result(word));
-  }
-  return results;
-}
-
 std::vector<HarvestedPair> harvest_verified_results(
     const mem::MainMemory& memory, const BatchLayout& layout,
     std::uint64_t beat_delta, bool backtrace,
@@ -229,9 +228,12 @@ std::vector<HarvestedPair> harvest_verified_results(
     const hw::AcceleratorConfig& cfg) {
   std::vector<HarvestedPair> harvested;
   if (backtrace) {
+    // Salvage does not depend on the §4.5 method: the multi-Aligner walk
+    // accepts either stream shape.
     const BtStreamScan scan = try_parse_bt_stream(
         memory, layout.out_addr, beat_delta * mem::kBeatBytes, pairs.size(),
-        layout.crc, layout.crc_salt);
+        /*separate_data=*/true, /*counters=*/nullptr, layout.crc,
+        layout.crc_salt);
     for (const BtAlignment& bt : scan.alignments) {
       if (bt.id >= pairs.size()) continue;  // corrupted id field
       if (!bt.success) {
@@ -248,7 +250,7 @@ std::vector<HarvestedPair> harvest_verified_results(
     }
   } else {
     for (const hw::NbtResult& nbt :
-         decode_nbt_results_partial(memory, layout, beat_delta)) {
+         try_decode_nbt_results(memory, layout, beat_delta)) {
       if (nbt.id >= pairs.size()) continue;
       HarvestedPair h;
       h.local_id = nbt.id;

@@ -159,8 +159,21 @@ class Driver {
   hw::Accelerator& accelerator_;
 };
 
-/// Decodes the NBT result area: `num_pairs` packed 4-byte words, four per
-/// 16-byte transaction, in Collector completion order. Entries are
+/// The one reader of the NBT result area (`num_pairs` packed 4-byte
+/// words, four per 16-byte transaction — two per transaction with CRC —
+/// in Collector completion order). Tolerant: it decodes at most the
+/// records the DMA actually wrote (`beats_written` beats), so a truncated
+/// or aborted run never decodes stale or unwritten memory as results, and
+/// it drops each record that fails its CRC. The first anomaly — a failed
+/// CRC, or a result area that ends before the last record — is named in
+/// `*anomaly` (nullptr when there was none). Entries come back in stream
+/// order.
+[[nodiscard]] std::vector<hw::NbtResult> try_decode_nbt_results(
+    const mem::MainMemory& memory, const BatchLayout& batch,
+    std::uint64_t beats_written, const char** anomaly = nullptr);
+
+/// Strict entry point over the same loop: trusts `num_pairs`, and aborts
+/// with the anomaly's text if a record fails its CRC. Entries are
 /// returned in stream order (not sorted by id).
 [[nodiscard]] std::vector<hw::NbtResult> decode_nbt_results(
     const mem::MainMemory& memory, const BatchLayout& batch);
@@ -172,12 +185,20 @@ class Driver {
 [[nodiscard]] std::vector<hw::NbtResult> decode_nbt_results_sorted(
     const mem::MainMemory& memory, const BatchLayout& batch);
 
-/// Tolerant variant for the resilient path: decodes at most the words the
-/// DMA actually wrote (`beats_written * 4`), so a truncated or aborted run
-/// never decodes stale/unwritten result memory as results.
-[[nodiscard]] std::vector<hw::NbtResult> decode_nbt_results_partial(
-    const mem::MainMemory& memory, const BatchLayout& batch,
-    std::uint64_t beats_written);
+/// Did every launch-local id 0..num_pairs-1 come back exactly once? The
+/// all-or-nothing question a consumer of one run's results (NBT records
+/// or reassembled BT alignments) asks before it trusts the whole batch.
+template <class Record>
+[[nodiscard]] bool each_id_exactly_once(const std::vector<Record>& records,
+                                        std::size_t num_pairs) {
+  if (records.size() != num_pairs) return false;
+  std::vector<bool> seen(num_pairs, false);
+  for (const Record& record : records) {
+    if (record.id >= num_pairs || seen[record.id]) return false;
+    seen[record.id] = true;
+  }
+  return true;
+}
 
 /// One pair harvested from a (possibly faulted) run by
 /// harvest_verified_results: either a verified alignment or a

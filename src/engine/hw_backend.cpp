@@ -280,15 +280,7 @@ void HwBackend::complete_active() {
         active.staged.job.backtrace, active.staged.job.pairs,
         accelerator_->config());
   } else if (status.completed()) {
-    // With CRC transport protection on, pre-validate the result stream
-    // before the strict decoders see it: a record that fails its CRC
-    // should surface as a kDataError completion the engine can retry, not
-    // abort the host process inside parse/decode.
-    if (active.staged.layout.crc && !stream_verifies(active)) {
-      completion.outcome = drv::RunOutcome::kDataError;
-    } else {
-      decode_into(completion, active, status);
-    }
+    decode_into(completion, active, status);
   }
   if (!completion.completed_run() && !active.staged.job.tolerant &&
       !active.checkpoint.empty()) {
@@ -352,40 +344,27 @@ JobHandle HwBackend::adopt(Migration migration) {
   return handle;
 }
 
-bool HwBackend::stream_verifies(const ActiveJob& active) const {
-  const drv::BatchLayout& layout = active.staged.layout;
-  const std::uint64_t beat_delta =
-      accelerator_->dma().beats_written() - active.beats_before;
-  if (active.staged.job.backtrace) {
-    const drv::BtStreamScan scan = drv::try_parse_bt_stream(
-        *memory_, layout.out_addr, beat_delta * mem::kBeatBytes,
-        layout.num_pairs, layout.crc, layout.crc_salt);
-    if (!scan.clean || scan.alignments.size() != layout.num_pairs) {
-      return false;
-    }
-    std::vector<bool> seen(layout.num_pairs, false);
-    for (const drv::BtAlignment& bt : scan.alignments) {
-      if (bt.id >= layout.num_pairs || seen[bt.id]) return false;
-      seen[bt.id] = true;
-    }
-    return true;
-  }
-  const std::vector<hw::NbtResult> words =
-      drv::decode_nbt_results_partial(*memory_, layout, beat_delta);
-  if (words.size() != layout.num_pairs) return false;
-  std::vector<bool> seen(layout.num_pairs, false);
-  for (const hw::NbtResult& nbt : words) {
-    if (nbt.id >= layout.num_pairs || seen[nbt.id]) return false;
-    seen[nbt.id] = true;
-  }
+namespace {
+
+/// The all-or-nothing policy for a non-tolerant job's read. Under CRC an
+/// inconsistent read — an anomaly, or ids that did not come back exactly
+/// once — is a transport fault the engine retries: false, and the run
+/// completes as kDataError. Without CRC there is no fault verdict to give:
+/// a damaged stream from a completed run is a simulator bug and aborts.
+bool read_verifies(const drv::BatchLayout& layout, const char* anomaly,
+                   bool each_id_once) {
+  if (layout.crc) return anomaly == nullptr && each_id_once;
+  WFASIC_REQUIRE(anomaly == nullptr, anomaly);
   return true;
 }
+
+}  // namespace
 
 void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
                             const drv::RunStatus& status) {
   const BatchJob& job = active.staged.job;
   const drv::BatchLayout& layout = active.staged.layout;
-  BatchResult& result = completion.result;
+  BatchResult result;
   result.accel_cycles = status.cycles;
   result.encode_cycles = active.staged.encode_cycles;
 
@@ -409,13 +388,21 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
   result.phase.overhead -= active.phase_before.overhead;
   result.output_stall_cycles -= active.stalls_before;
 
-  result.alignments.resize(job.pairs.size());
+  const std::size_t n = job.pairs.size();
+  const std::uint64_t beats =
+      accelerator_->dma().beats_written() - active.beats_before;
+  result.alignments.resize(n);
   if (job.backtrace) {
-    const std::vector<drv::BtAlignment> parsed = drv::parse_bt_stream(
-        *memory_, layout.out_addr, layout.num_pairs, job.separate_data,
-        &result.bt_counters, layout.crc, layout.crc_salt);
-    for (const drv::BtAlignment& bt : parsed) {
-      WFASIC_REQUIRE(bt.id < job.pairs.size(),
+    const drv::BtStreamScan scan = drv::try_parse_bt_stream(
+        *memory_, layout.out_addr, beats * mem::kBeatBytes, n,
+        job.separate_data, &result.bt_counters, layout.crc, layout.crc_salt);
+    if (!read_verifies(layout, scan.anomaly,
+                       drv::each_id_exactly_once(scan.alignments, n))) {
+      completion.outcome = drv::RunOutcome::kDataError;
+      return;
+    }
+    for (const drv::BtAlignment& bt : scan.alignments) {
+      WFASIC_REQUIRE(bt.id < n,
                      "HwBackend: unexpected alignment id in stream");
       result.alignments[bt.id] = drv::reconstruct_alignment(
           bt, job.pairs[bt.id].a, job.pairs[bt.id].b, accelerator_->config(),
@@ -424,9 +411,17 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
     result.cpu_bt_cycles = cpu_.backtrace_cycles(result.bt_counters);
     completion.decode_cycles = result.cpu_bt_cycles;
   } else {
-    for (const hw::NbtResult& nbt :
-         drv::decode_nbt_results_sorted(*memory_, layout)) {
-      WFASIC_REQUIRE(nbt.id < job.pairs.size(),
+    const char* anomaly = nullptr;
+    const std::vector<hw::NbtResult> words =
+        drv::try_decode_nbt_results(*memory_, layout, beats, &anomaly);
+    if (!read_verifies(layout, anomaly, drv::each_id_exactly_once(words, n))) {
+      completion.outcome = drv::RunOutcome::kDataError;
+      return;
+    }
+    // Stream order: a repeated id (possible only without CRC) keeps its
+    // last record.
+    for (const hw::NbtResult& nbt : words) {
+      WFASIC_REQUIRE(nbt.id < n,
                      "HwBackend: unexpected alignment id in results");
       core::AlignResult& out = result.alignments[nbt.id];
       out.ok = nbt.success;
@@ -436,6 +431,7 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
         static_cast<double>(layout.num_pairs) *
         cfg_.nbt_decode_cycles_per_pair));
   }
+  completion.result = std::move(result);
 }
 
 bool HwBackend::cancel(JobHandle handle) {

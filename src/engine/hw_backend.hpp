@@ -172,11 +172,9 @@ class HwBackend final : public AlignmentBackend {
   /// configured interval has elapsed since the last one.
   void maybe_checkpoint();
   void complete_active();
-  /// With CRC on: tolerant pre-scan of the result stream (bounded by the
-  /// beats the DMA actually wrote). False means a record failed its CRC or
-  /// the stream is inconsistent — the completion becomes kDataError
-  /// instead of feeding the strict (aborting) decoders.
-  [[nodiscard]] bool stream_verifies(const ActiveJob& active) const;
+  /// Reads a completed non-tolerant run's result area once, bounded by the
+  /// beats the DMA wrote, into completion.result — or, with CRC on, turns
+  /// the completion into kDataError when that read does not verify.
   void decode_into(Completion& completion, const ActiveJob& active,
                    const drv::RunStatus& status);
 

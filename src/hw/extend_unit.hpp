@@ -8,8 +8,9 @@
 // comparison after kPipelineFill cycles; the comparison that discovers the
 // terminating mismatch (or sequence end) is part of the last block.
 //
-// The Aligner uses this unit both for the functional result (the match
-// run) and for the per-cell cycle count feeding the batch scheduler.
+// The Aligner runs one wavefront row's extend phase at a time through
+// extend_row(), which yields both the functional result (each cell's
+// match run) and the phase's batch schedule cost.
 #pragma once
 
 #include <algorithm>
@@ -37,41 +38,21 @@ class ExtendUnit {
   };
 
   /// Extends from pattern position i / text position j until the bases
-  /// differ or either sequence ends (§2.3's extend operator for one cell).
-  /// Fast path used by the Aligner; equivalent to extend_datapath().
-  /// Inline: runs once per valid wavefront cell, the Aligner's hottest
-  /// call. The packed-word comparison computes the same run the datapath
-  /// produces (proven by the extend_datapath() cross-check in the tests);
-  /// blocks = ceil((run+1)/16) because the comparator activation that
-  /// discovers the mismatch/end belongs to the last block.
-  [[nodiscard]] Result extend(offset_t i, offset_t j) const {
-    WFASIC_REQUIRE(i >= 0 && j >= 0 &&
-                       i <= static_cast<offset_t>(a_.size()) &&
-                       j <= static_cast<offset_t>(b_.size()),
-                   "ExtendUnit::extend: start position out of range");
-    Result result;
-    result.run = static_cast<offset_t>(a_.match_run64(
-        static_cast<std::size_t>(i), b_, static_cast<std::size_t>(j)));
-    result.blocks = static_cast<unsigned>(
-        static_cast<std::size_t>(result.run) / PackedSeq::kBasesPerWord + 1);
-    result.cycles = kPipelineFill + result.blocks;
-    return result;
-  }
-
-  /// Explicit lane-by-lane emulation of the Figure-7 datapath (register
-  /// shifts, one comparator activation per cycle). Slower; exists so the
-  /// tests can prove the fast path and the datapath agree exactly.
+  /// differ or either sequence ends (§2.3's extend operator for one cell)
+  /// by explicit lane-by-lane emulation of the Figure-7 datapath (register
+  /// shifts, one comparator activation per cycle). Slow; it is the
+  /// reference the tests hold extend_row() to.
   [[nodiscard]] Result extend_datapath(offset_t i, offset_t j) const;
 
   /// Fused row kernel: consumes the whole extend-phase request queue of
   /// one wavefront row in a tight batch — every valid M cell is advanced
   /// in place, and the phase's batch schedule cost plus the PMU tallies
-  /// come out of the same pass. Cycle accounting is identical to calling
-  /// extend() per cell and batching the block counts afterwards (the
-  /// comparator-block maximum of each `sections`-wide batch over the
-  /// compacted valid-cell stream, tracked inline instead of via a scratch
-  /// vector and a second pass): the pipeline fill is charged once per
-  /// phase, each batch adds `batch_overhead` plus its block maximum.
+  /// come out of the same pass. The packed-word comparison computes the
+  /// run the datapath produces, and a cell's comparator blocks are
+  /// ceil((run+1)/16) because the activation that discovers the
+  /// mismatch/end belongs to the last block. The pipeline fill is charged
+  /// once per phase; each `sections`-wide batch of the compacted
+  /// valid-cell stream adds `batch_overhead` plus its block maximum.
   struct RowResult {
     unsigned cycles = 0;            ///< batch schedule cost (0: no valid cell)
     std::uint64_t invocations = 0;  ///< valid cells extended

@@ -254,13 +254,13 @@ TEST(ResultCrc, NbtRecordCorruptionIsRejectedByTheTolerantDecoder) {
   const std::uint64_t beats = accel.dma().beats_written();
 
   // Undamaged: every record decodes.
-  ASSERT_EQ(drv::decode_nbt_results_partial(memory, layout, beats).size(),
+  ASSERT_EQ(drv::try_decode_nbt_results(memory, layout, beats).size(),
             pairs.size());
 
   // Corrupt the packed word of record 3 (8-byte records with CRC on).
   memory.flip_bit(layout.out_addr + 3 * hw::nbt_record_bytes(true) + 1, 4);
   const auto partial =
-      drv::decode_nbt_results_partial(memory, layout, beats);
+      drv::try_decode_nbt_results(memory, layout, beats);
   EXPECT_EQ(partial.size(), pairs.size() - 1);  // the bad record dropped
   for (const hw::NbtResult& r : partial) {
     EXPECT_EQ(static_cast<score_t>(r.score),
@@ -283,21 +283,24 @@ TEST(ResultCrc, BtStreamCorruptionIsRejectedAndSaltMismatchAcceptsNothing) {
 
   // Clean stream, right salt: every alignment accepted.
   const drv::BtStreamScan good = drv::try_parse_bt_stream(
-      memory, layout.out_addr, bytes, pairs.size(), true, 33);
-  EXPECT_TRUE(good.clean);
+      memory, layout.out_addr, bytes, pairs.size(), /*separate_data=*/true,
+      nullptr, true, 33);
+  EXPECT_TRUE(good.clean());
   EXPECT_EQ(good.alignments.size(), pairs.size());
 
   // Wrong salt (a stale launch's decoder): nothing verifies.
   const drv::BtStreamScan stale = drv::try_parse_bt_stream(
-      memory, layout.out_addr, bytes, pairs.size(), true, 34);
-  EXPECT_FALSE(stale.clean);
+      memory, layout.out_addr, bytes, pairs.size(), /*separate_data=*/true,
+      nullptr, true, 34);
+  EXPECT_FALSE(stale.clean());
   EXPECT_TRUE(stale.alignments.empty());
 
   // One payload bit flipped: exactly that alignment is dropped.
   memory.flip_bit(layout.out_addr + 2 * mem::kBeatBytes + 4, 6);
   const drv::BtStreamScan scan = drv::try_parse_bt_stream(
-      memory, layout.out_addr, bytes, pairs.size(), true, 33);
-  EXPECT_FALSE(scan.clean);
+      memory, layout.out_addr, bytes, pairs.size(), /*separate_data=*/true,
+      nullptr, true, 33);
+  EXPECT_FALSE(scan.clean());
   EXPECT_LT(scan.alignments.size(), pairs.size());
 }
 
@@ -325,7 +328,7 @@ TEST(WriteFaults, WriteBeatCorruptionNeverEscapesWithCrcOn) {
   ASSERT_TRUE(status.completed());
   EXPECT_EQ(injector.fired_count(), 1u);
 
-  const auto partial = drv::decode_nbt_results_partial(
+  const auto partial = drv::try_decode_nbt_results(
       memory, layout, accel.dma().beats_written());
   EXPECT_LT(partial.size(), pairs.size());  // the damaged records dropped
   for (const hw::NbtResult& r : partial) {  // survivors are all correct
@@ -361,7 +364,7 @@ TEST(WriteFaults, DroppedWriteBeatStaleDataDefeatedByTheLaunchSalt) {
   ASSERT_TRUE(driver.run(second, false).completed());
   EXPECT_EQ(injector.fired_count(), 1u);
 
-  const auto partial = drv::decode_nbt_results_partial(
+  const auto partial = drv::try_decode_nbt_results(
       memory, second, accel.dma().beats_written() - before);
   // The stale slot fails its CRC under the new salt: dropped, not decoded
   // as a (coincidentally plausible) result of launch 2.

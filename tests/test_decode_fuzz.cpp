@@ -1,11 +1,13 @@
-// Decode-robustness fuzzing: the tolerant decoders — try_parse_bt_stream,
-// decode_nbt_results_partial, try_reconstruct_alignment and the
-// harvest_verified_results pipeline over them — must reject arbitrary
-// garbage cleanly: random buffers, truncated streams and bit-flipped
-// valid streams never crash, never read out of bounds (the suite runs
-// under -DWFASIC_SANITIZE in CI) and never yield a result that fails
-// verification. Only the tolerant paths are fuzzed; the strict decoders
-// abort by contract (WFASIC_REQUIRE) on malformed input.
+// Decode-robustness fuzzing: the one reader of each result format —
+// try_parse_bt_stream and try_decode_nbt_results — plus
+// try_reconstruct_alignment and the harvest_verified_results pipeline
+// over them must reject arbitrary garbage cleanly: random buffers,
+// truncated streams and bit-flipped valid streams never crash, never read
+// out of bounds (the suite runs under -DWFASIC_SANITIZE in CI) and never
+// yield a result that fails verification. The strict entry points are the
+// same readers aborting (WFASIC_REQUIRE) on the first anomaly, so only
+// the tolerant verdict is fuzzed; the verdicts are compared in
+// test_bt_robustness.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -60,8 +62,8 @@ TEST(DecodeFuzz, RandomBuffersThroughBtScanNeverCrash) {
     fill_random(memory, kOutAddr, bytes == 0 ? mem::kBeatBytes : bytes, prng);
     for (const bool crc : {false, true}) {
       const drv::BtStreamScan scan = drv::try_parse_bt_stream(
-          memory, kOutAddr, bytes, /*num_pairs=*/8, crc,
-          static_cast<std::uint32_t>(prng.next_u64()));
+          memory, kOutAddr, bytes, /*num_pairs=*/8, /*separate_data=*/true,
+          nullptr, crc, static_cast<std::uint32_t>(prng.next_u64()));
       // Whatever it salvaged must at least be internally consistent ids.
       for (const drv::BtAlignment& bt : scan.alignments) {
         EXPECT_LT(bt.id, 8u);
@@ -86,12 +88,12 @@ TEST(DecodeFuzz, RandomBuffersThroughNbtPartialNeverCrash) {
       layout.num_pairs = 8;
       layout.crc = crc;
       layout.crc_salt = static_cast<std::uint32_t>(prng.next_u64());
-      // Id-range filtering is the caller's job (stream_verifies /
+      // Id-range filtering is the caller's job (each_id_exactly_once /
       // harvest_verified_results); the decoder only guarantees it never
       // crashes, never reads past the written beats, and never returns
       // more records than the layout holds.
       const auto results =
-          drv::decode_nbt_results_partial(memory, layout, beats);
+          drv::try_decode_nbt_results(memory, layout, beats);
       EXPECT_LE(results.size(), layout.num_pairs);
     }
   }
@@ -154,10 +156,10 @@ TEST_F(StreamFuzz, EveryBtTruncationPointIsHandled) {
   for (std::uint64_t keep = 0; keep <= beats_; ++keep) {
     const drv::BtStreamScan scan = drv::try_parse_bt_stream(
         *memory_, layout_.out_addr, keep * mem::kBeatBytes, pairs_.size(),
-        true, 77);
+        /*separate_data=*/true, nullptr, true, 77);
     EXPECT_LE(scan.alignments.size(), pairs_.size());
     if (keep < beats_) {
-      EXPECT_FALSE(scan.clean);  // something is missing
+      EXPECT_FALSE(scan.clean());  // something is missing
     }
   }
 }
@@ -166,7 +168,7 @@ TEST_F(StreamFuzz, EveryNbtTruncationPointIsHandled) {
   run_genuine(/*crc=*/true, /*backtrace=*/false);
   for (std::uint64_t keep = 0; keep <= beats_; ++keep) {
     const auto results =
-        drv::decode_nbt_results_partial(*memory_, layout_, keep);
+        drv::try_decode_nbt_results(*memory_, layout_, keep);
     EXPECT_LE(results.size(),
               keep * hw::nbt_records_per_beat(true));
     for (const hw::NbtResult& r : results) EXPECT_LT(r.id, pairs_.size());
@@ -182,7 +184,8 @@ TEST_F(StreamFuzz, BitFlippedBtStreamsNeverYieldUnverifiedAlignments) {
     const unsigned bit = static_cast<unsigned>(prng.next_below(8));
     memory_->flip_bit(addr, bit);
     const drv::BtStreamScan scan = drv::try_parse_bt_stream(
-        *memory_, layout_.out_addr, bytes, pairs_.size(), true, 77);
+        *memory_, layout_.out_addr, bytes, pairs_.size(),
+        /*separate_data=*/true, nullptr, true, 77);
     // Accepted alignments passed their stream CRC; reconstruction must
     // then also verify or cleanly refuse.
     for (const drv::BtAlignment& bt : scan.alignments) {

@@ -207,14 +207,14 @@ TEST(DecodeNbt, PartialDecodeStopsAtWrittenBeats) {
                      hw::pack_nbt_result({true, 100 + i, i}));
   }
   // One 16-byte beat written = four decodable words, not five.
-  const auto partial = decode_nbt_results_partial(memory, layout, 1);
+  const auto partial = try_decode_nbt_results(memory, layout, 1);
   ASSERT_EQ(partial.size(), 4u);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(partial[i].id, i);
   }
   // Zero beats written decodes nothing; enough beats decodes everything.
-  EXPECT_TRUE(decode_nbt_results_partial(memory, layout, 0).empty());
-  EXPECT_EQ(decode_nbt_results_partial(memory, layout, 2).size(), 5u);
+  EXPECT_TRUE(try_decode_nbt_results(memory, layout, 0).empty());
+  EXPECT_EQ(try_decode_nbt_results(memory, layout, 2).size(), 5u);
 }
 
 // The strict decoder trusts num_pairs; aiming it past the end of memory

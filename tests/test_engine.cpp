@@ -508,6 +508,36 @@ TEST(EngineRecovery, FailoverMigratesCheckpointedShardWithBoundedRecompute) {
                 (cfg.device.checkpoint_interval + cfg.device.poll_quantum));
 }
 
+TEST(EngineRecovery, CrcBacktraceShardWithADroppedResultBeatRetries) {
+  // Under CRC a damaged BT stream is a transport fault, not a simulator
+  // bug: the run's one read of its result area fails verification, the
+  // shard completes as kDataError and run_dataset runs the whole shard
+  // again (checkpointing is off) — the host never aborts in the decoder.
+  const auto pairs = gen::generate_input_set({300, 0.08, 8, 184});
+  EngineConfig cfg;
+  cfg.device.accel.crc = true;
+  Engine engine(cfg);
+
+  sim::FaultInjector injector;
+  sim::FaultEvent drop;
+  drop.cls = sim::FaultClass::kWriteBeatDrop;
+  drop.beat = 3;  // inside the first shard's result stream
+  injector.schedule(drop);
+  engine.device(0).attach_fault_injector(&injector);
+
+  const BatchResult merged = engine.run_dataset(pairs, 4, true, false);
+  EXPECT_EQ(injector.fired_count(), 1u);
+  ASSERT_EQ(merged.alignments.size(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(merged.alignments[i].cigar,
+              reference_alignment(pairs[i], kDefaultPenalties).cigar)
+        << i;
+  }
+  const EngineMetrics m = engine.metrics();
+  EXPECT_EQ(m.devices[0].jobs_failed, 1u);
+  EXPECT_EQ(m.recovery.dataset_retries, 1u);
+}
+
 TEST(EngineRecovery, PreemptParkResumeCompletesCorrectly) {
   // One long job on a K=1 engine is preempted mid-run so a short job can
   // use the device, then resumed from its eviction checkpoint.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "gen/seqgen.hpp"
@@ -10,11 +12,25 @@
 namespace wfasic::hw {
 namespace {
 
+/// One cell through the Aligner's extend path: a one-cell row starting at
+/// pattern position i / text position j (diagonal j - i, offset j), one
+/// section, no batch overhead — so the row's cycles are the pipeline fill
+/// plus the cell's comparator blocks.
+ExtendUnit::Result extend_cell(const ExtendUnit& unit, offset_t i,
+                               offset_t j) {
+  offset_t row[1] = {j};
+  const ExtendUnit::RowResult r =
+      unit.extend_row(row, j - i, 1, 1, ExtendUnit::kPipelineFill, 0);
+  EXPECT_EQ(r.invocations, 1u);
+  EXPECT_EQ(r.matched, static_cast<std::uint64_t>(row[0] - j));
+  return {row[0] - j, r.cycles - ExtendUnit::kPipelineFill, r.cycles};
+}
+
 ExtendUnit::Result fast(const std::string& a, const std::string& b,
                         offset_t i, offset_t j) {
   const PackedSeq pa(a);
   const PackedSeq pb(b);
-  return ExtendUnit(pa, pb).extend(i, j);
+  return extend_cell(ExtendUnit(pa, pb), i, j);
 }
 
 TEST(ExtendUnit, ImmediateMismatchCostsOneBlock) {
@@ -80,7 +96,7 @@ TEST(ExtendUnit, FastPathEqualsDatapathEverywhere) {
     const ExtendUnit unit(pa, pb);
     const auto i = static_cast<offset_t>(prng.next_below(len_a + 1));
     const auto j = static_cast<offset_t>(prng.next_below(len_b + 1));
-    const auto f = unit.extend(i, j);
+    const auto f = extend_cell(unit, i, j);
     const auto d = unit.extend_datapath(i, j);
     EXPECT_EQ(f.run, d.run) << "trial " << trial;
     EXPECT_EQ(f.blocks, d.blocks) << "trial " << trial;
@@ -92,7 +108,76 @@ TEST(ExtendUnit, OutOfRangeStartAborts) {
   const PackedSeq pa(std::string("ACGT"));
   const PackedSeq pb(std::string("ACGT"));
   const ExtendUnit unit(pa, pb);
-  EXPECT_DEATH((void)unit.extend(5, 0), "out of range");
+  offset_t row[1] = {0};  // pattern position 5 on diagonal -5
+  EXPECT_DEATH(
+      (void)unit.extend_row(row, -5, 1, 1, ExtendUnit::kPipelineFill, 0),
+      "out of range");
+}
+
+TEST(ExtendUnit, RowMatchesDatapathPerCellAndBatchesItsCycles) {
+  // A whole extend phase: each valid cell of a row advances by the run the
+  // datapath finds, null cells stay null, and the cost is the pipeline
+  // fill plus, per P-wide batch of valid cells, the overhead and the
+  // batch's largest datapath block count — or nothing when no cell is
+  // valid (every first trial).
+  Prng prng(132);
+  constexpr unsigned kOverhead = 3;
+  for (const unsigned P : {1u, 3u, 16u, 64u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t len_a = 1 + prng.next_below(120);
+      const std::string a = gen::random_sequence(prng, len_a);
+      const std::string b = gen::mutate_sequence(prng, a, 0.05);
+      const PackedSeq pa(a);
+      const PackedSeq pb(b);
+      const ExtendUnit unit(pa, pb);
+      const auto n = static_cast<diag_t>(a.size());
+      const auto m = static_cast<diag_t>(b.size());
+      const diag_t lo = -n;
+      std::vector<offset_t> row(static_cast<std::size_t>(n + m + 1));
+      for (std::size_t idx = 0; idx < row.size(); ++idx) {
+        // Diagonal k holds offsets j in [max(0, k), min(m, n + k)].
+        const diag_t k = lo + static_cast<diag_t>(idx);
+        const offset_t j_lo = std::max<offset_t>(0, k);
+        const offset_t j_hi = std::min<offset_t>(m, n + k);
+        row[idx] = trial == 0 || prng.next_bool(0.3)
+                       ? kOffsetNull
+                       : j_lo + static_cast<offset_t>(prng.next_below(
+                                    static_cast<std::uint64_t>(j_hi - j_lo) +
+                                    1));
+      }
+      const std::vector<offset_t> before = row;
+
+      std::uint64_t valid = 0;
+      std::uint64_t matched = 0;
+      unsigned cycles = 0;
+      unsigned in_batch = 0;
+      unsigned max_blocks = 0;
+      std::vector<offset_t> expected = before;
+      for (std::size_t idx = 0; idx < before.size(); ++idx) {
+        if (before[idx] == kOffsetNull) continue;
+        const diag_t k = lo + static_cast<diag_t>(idx);
+        const auto d = unit.extend_datapath(before[idx] - k, before[idx]);
+        expected[idx] = before[idx] + d.run;
+        ++valid;
+        matched += static_cast<std::uint64_t>(d.run);
+        max_blocks = std::max(max_blocks, d.blocks);
+        if (++in_batch == P) {
+          cycles += kOverhead + max_blocks;
+          in_batch = 0;
+          max_blocks = 0;
+        }
+      }
+      if (in_batch > 0) cycles += kOverhead + max_blocks;
+      if (valid > 0) cycles += ExtendUnit::kPipelineFill;
+
+      const ExtendUnit::RowResult r = unit.extend_row(
+          row.data(), lo, row.size(), P, ExtendUnit::kPipelineFill, kOverhead);
+      EXPECT_EQ(row, expected) << "P=" << P << " trial " << trial;
+      EXPECT_EQ(r.invocations, valid) << "P=" << P << " trial " << trial;
+      EXPECT_EQ(r.matched, matched) << "P=" << P << " trial " << trial;
+      EXPECT_EQ(r.cycles, cycles) << "P=" << P << " trial " << trial;
+    }
+  }
 }
 
 }  // namespace
