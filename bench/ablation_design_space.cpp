@@ -22,7 +22,7 @@ void sweep_parallel_sections() {
   const auto pairs = gen::generate_input_set({1000, 0.10, 6, 301});
   const std::uint64_t cells = equivalent_cells(pairs);
   for (unsigned ps : {8u, 16u, 32u, 64u, 128u}) {
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     cfg.accel.parallel_sections = ps;
     const AccelMeasurement m = measure_accelerator(pairs, cfg, false, false);
     const asic::AreaEstimate est = asic::estimate(cfg.accel);
@@ -42,7 +42,7 @@ void sweep_memory_bandwidth() {
   print_rule(56);
   const auto pairs = gen::generate_input_set({100, 0.05, 40, 302});
   for (unsigned latency : {0u, 9u, 27u, 54u, 108u}) {
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     cfg.accel.num_aligners = 4;
     cfg.accel.axi.read_latency = latency;
     const AccelMeasurement m = measure_accelerator(pairs, cfg, false, false);
@@ -61,10 +61,9 @@ void sweep_kmax() {
   print_rule(56);
   const auto pairs = gen::generate_input_set({1000, 0.10, 10, 303});
   for (diag_t k_max : {50, 150, 300, 600, 3998}) {
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     cfg.accel.k_max = k_max;
-    soc::Soc soc(cfg);
-    const soc::BatchResult r = soc.run_batch(pairs, false, false);
+    const engine::BatchResult r = run_batch(cfg, pairs, false, false);
     std::size_t ok = 0;
     for (const auto& rec : r.records) ok += rec.success ? 1 : 0;
     std::printf("%-8d %12d %13.0f%% %12.2f\n", k_max, 2 * k_max + 4,
@@ -82,9 +81,8 @@ void phase_breakdown() {
   print_rule(64);
   for (const auto& spec : paper_sets({8, 4, 2})) {
     const auto pairs = gen::generate_input_set(spec);
-    soc::SocConfig cfg;
-    soc::Soc soc(cfg);
-    const soc::BatchResult r = soc.run_batch(pairs, true, false);
+    const engine::BatchResult r =
+        run_batch(engine::HwBackendConfig{}, pairs, true, false);
     const double n = static_cast<double>(pairs.size());
     std::printf("%-9s %12.0f %12.0f %12.0f %12.0f\n", spec.name().c_str(),
                 static_cast<double>(r.phase.extend) / n,

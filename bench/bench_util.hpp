@@ -1,6 +1,6 @@
 // Shared support for the table/figure reproduction benches: workload
-// setup, per-input-set measurement via the SoC simulator, and fixed-width
-// table printing.
+// setup, per-input-set measurement on a single-device engine (the
+// simulated SoC), and fixed-width table printing.
 #pragma once
 
 #include <chrono>
@@ -13,9 +13,9 @@
 
 #include "core/wfa.hpp"
 #include "cpu/cpu_model.hpp"
+#include "engine/engine.hpp"
 #include "engine/metrics.hpp"
 #include "gen/seqgen.hpp"
-#include "soc/soc.hpp"
 
 namespace wfasic::bench {
 
@@ -74,20 +74,31 @@ struct AccelMeasurement {
   }
 };
 
+/// One batch through a fresh K=1 engine whose device is `device`: the
+/// paper's co-design flow on a single accelerator.
+inline engine::BatchResult run_batch(
+    const engine::HwBackendConfig& device,
+    const std::vector<gen::SequencePair>& pairs, bool backtrace,
+    bool separate_data) {
+  engine::EngineConfig cfg;
+  cfg.device = device;
+  engine::Engine engine(cfg);
+  return engine.run_batch(pairs, backtrace, separate_data);
+}
+
 inline AccelMeasurement measure_accelerator(
-    const std::vector<gen::SequencePair>& pairs, const soc::SocConfig& cfg,
-    bool backtrace, bool separate_data) {
+    const std::vector<gen::SequencePair>& pairs,
+    const engine::HwBackendConfig& cfg, bool backtrace, bool separate_data) {
   // Size main memory to the workload: backtrace streams need room (the
   // 10K-10% set writes ~11 MB per pair); score-only runs get by with a
   // small arena, which keeps parallel bench runs cheap.
-  soc::SocConfig sized = cfg;
+  engine::HwBackendConfig sized = cfg;
   if (!backtrace) {
     sized.memory_bytes = 16ull << 20;
     sized.out_addr = 12ull << 20;
   }
-  soc::Soc soc(sized);
-  const soc::BatchResult result =
-      soc.run_batch(pairs, backtrace, separate_data);
+  const engine::BatchResult result =
+      run_batch(sized, pairs, backtrace, separate_data);
   AccelMeasurement m;
   m.pairs = pairs.size();
   m.batch_cycles = result.accel_cycles;

@@ -1,12 +1,12 @@
 // Engine throughput: blocking single-device vs pipelined single-device vs
 // K-device sharding, in GCUPS at the modelled post-PnR frequency.
 //
-// The blocking row is the legacy Soc::run_batch accounting (encode, align
-// and decode strictly in sequence); the pipelined rows run the same
-// dataset through the engine's double-buffered schedule (encode batch N+1
-// and decode batch N-1 overlap the aligning of batch N); the K-device
-// rows shard the dataset across independent simulated accelerators with
-// least-loaded dispatch.
+// The blocking row is the serial accounting of the single-device run
+// (encode, align and decode strictly in sequence); the pipelined rows run
+// the same dataset through the engine's double-buffered schedule (encode
+// batch N+1 and decode batch N-1 overlap the aligning of batch N); the
+// K-device rows shard the dataset across independent simulated
+// accelerators with least-loaded dispatch.
 //
 // Two workloads show two different ceilings. With backtrace the single
 // host CPU decodes every BT stream, so sharding saturates once the CPU is
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     print_rule(70);
 
     const engine::BatchResult k1 = run_devices(1, backtrace);
-    // The legacy accounting of the very same run: every phase in sequence.
+    // The serial accounting of the very same run: every phase in sequence.
     const std::uint64_t blocking_cycles =
         k1.encode_cycles + k1.accel_cycles + k1.cpu_bt_cycles;
     const double blocking_gcups =
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
 
     if (backtrace) {
       bt_pipeline_speedup = p1;
-      // Acceptance: overlap must hide CPU work even against the legacy
-      // sum that ignored encode entirely.
+      // Acceptance: overlap must hide CPU work even against the
+      // align+backtrace sum alone, which leaves encode out.
       if (k1.pipeline_cycles >= k1.accel_cycles + k1.cpu_bt_cycles) {
         std::printf("FAIL: pipelined makespan does not beat the serial "
                     "align+backtrace sum\n");

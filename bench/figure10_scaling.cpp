@@ -36,7 +36,7 @@ int main() {
     const std::size_t set_idx = idx / aligner_counts.size();
     const std::size_t cfg_idx = idx % aligner_counts.size();
     const auto pairs = gen::generate_input_set(sets[set_idx]);
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     cfg.accel.num_aligners = aligner_counts[cfg_idx];
     const AccelMeasurement m =
         measure_accelerator(pairs, cfg, /*backtrace=*/false, false);

@@ -31,12 +31,12 @@ int main() {
   for (const auto& spec : sets) {
     const auto pairs = gen::generate_input_set(spec);
 
-    soc::SocConfig cfg64;  // 1 Aligner x 64 PS
+    engine::HwBackendConfig cfg64;  // 1 Aligner x 64 PS
     const AccelMeasurement sep64 =
         measure_accelerator(pairs, cfg64, /*backtrace=*/true,
                             /*separate_data=*/true);
 
-    soc::SocConfig cfg32;
+    engine::HwBackendConfig cfg32;
     cfg32.accel.num_aligners = 2;
     cfg32.accel.parallel_sections = 32;
     const AccelMeasurement sep32 =

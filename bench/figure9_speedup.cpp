@@ -46,7 +46,7 @@ int main() {
         pairs, core::ExtendMode::kBlocked, core::Traceback::kEnabled);
 
     // Accelerator, backtrace disabled: per-pair alignment cycles.
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     const AccelMeasurement nbt =
         measure_accelerator(pairs, cfg, /*backtrace=*/false, false);
 

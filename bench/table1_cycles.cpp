@@ -39,7 +39,7 @@ int main() {
   const auto sets = paper_sets(counts);
   for (std::size_t idx = 0; idx < sets.size(); ++idx) {
     const auto pairs = gen::generate_input_set(sets[idx]);
-    soc::SocConfig cfg;  // 1 Aligner x 64 parallel sections
+    engine::HwBackendConfig cfg;  // 1 Aligner x 64 parallel sections
     const AccelMeasurement m =
         measure_accelerator(pairs, cfg, /*backtrace=*/false, false);
     const int max_aligners = static_cast<int>(

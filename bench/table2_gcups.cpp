@@ -36,7 +36,7 @@ int main() {
   const gen::InputSetSpec spec{10'000, 0.05, 2, 1005};
   const auto pairs = gen::generate_input_set(spec);
   const std::uint64_t cells = equivalent_cells(pairs);
-  soc::SocConfig cfg;
+  engine::HwBackendConfig cfg;
   const asic::AreaEstimate est = asic::estimate(cfg.accel);
 
   const AccelMeasurement bt =

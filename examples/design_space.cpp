@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "asic/area_model.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
-#include "soc/soc.hpp"
 
 int main(int argc, char** argv) {
   using namespace wfasic;
@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %10s %8s %10s %14s\n", "Config", "batch cyc",
               "area mm2", "GHz", "GCUPS", "GCUPS per mm2");
   for (const Candidate& c : candidates) {
-    soc::SocConfig cfg;
-    cfg.accel.num_aligners = c.aligners;
-    cfg.accel.parallel_sections = c.sections;
-    soc::Soc soc(cfg);
-    const soc::BatchResult r = soc.run_batch(pairs, false, false);
-    const asic::AreaEstimate est = asic::estimate(cfg.accel);
+    engine::EngineConfig cfg;
+    cfg.device.accel.num_aligners = c.aligners;
+    cfg.device.accel.parallel_sections = c.sections;
+    engine::Engine soc(cfg);
+    const engine::BatchResult r = soc.run_batch(pairs, false, false);
+    const asic::AreaEstimate est = asic::estimate(cfg.device.accel);
     const double g = asic::gcups(cells, r.accel_cycles, est.frequency_ghz);
     std::printf("%ux%-8u %12llu %10.2f %8.2f %10.1f %14.1f\n", c.aligners,
                 c.sections,

@@ -1,4 +1,5 @@
-// SoC demo: the full co-designed flow of Figure 4 on the simulated chip.
+// SoC demo: the full co-designed flow of Figure 4 on the simulated chip,
+// a single-device engine::Engine.
 //
 // Generates a synthetic input set, encodes it into main memory through the
 // driver, runs the WFAsic accelerator (with backtrace enabled), performs
@@ -9,8 +10,8 @@
 #include <string>
 
 #include "core/wfa.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
-#include "soc/soc.hpp"
 
 int main(int argc, char** argv) {
   using namespace wfasic;
@@ -25,8 +26,9 @@ int main(int argc, char** argv) {
               spec.num_pairs, spec.length, spec.error_rate * 100);
   const auto pairs = gen::generate_input_set(spec);
 
-  soc::Soc soc;  // default chip: 1 Aligner x 64 parallel sections
-  const soc::BatchResult result =
+  // Default chip: 1 Aligner x 64 parallel sections.
+  engine::Engine soc{engine::EngineConfig{}};
+  const engine::BatchResult result =
       soc.run_batch(pairs, /*backtrace=*/true, /*separate_data=*/false);
 
   std::printf("\n%-5s %8s %8s %13s %13s  %s\n", "id", "|a|", "|b|", "score",

@@ -27,25 +27,11 @@ class Wavefront {
   }
 
   /// Re-initialises this wavefront for a new [lo, hi] range, reusing the
-  /// existing vector capacity (arena/pool recycling: equivalent to
-  /// constructing a fresh Wavefront(lo, hi) without the allocations).
-  void reset(diag_t lo, diag_t hi) {
-    WFASIC_REQUIRE(lo <= hi, "Wavefront: empty diagonal range");
-    base_lo_ = lo;
-    lo_ = lo;
-    hi_ = hi;
-    const std::size_t w = static_cast<std::size_t>(hi - lo + 1);
-    m_.assign(w, kOffsetNull);
-    i_.assign(w, kOffsetNull);
-    d_.assign(w, kOffsetNull);
-    trace_base = 0;
-  }
-
-  /// reset() without the kOffsetNull fill, for callers that overwrite every
-  /// cell of [lo, hi] (all three of M/I/D) before any read — e.g. the hw
-  /// Aligner's compute phase, which writes the full row batch by batch.
-  /// Row sizes (and therefore storage_width() and the trace layout) match
-  /// reset() exactly; only the redundant fill is skipped.
+  /// existing vector capacity (arena/pool recycling). Row sizes, and so
+  /// storage_width() and the trace layout, match a fresh Wavefront(lo, hi);
+  /// the cells are not filled: they keep stale offsets until written, so
+  /// the caller writes every M/I/D cell of [lo, hi] before any read (the
+  /// compute kernels do, and the score-0 seeds write their own nulls).
   void reset_unfilled(diag_t lo, diag_t hi) {
     WFASIC_REQUIRE(lo <= hi, "Wavefront: empty diagonal range");
     base_lo_ = lo;
@@ -75,6 +61,8 @@ class Wavefront {
   }
   /// Allocated diagonal count (fixed at construction).
   [[nodiscard]] std::size_t storage_width() const { return m_.size(); }
+  /// Diagonals each row holds without reallocating.
+  [[nodiscard]] std::size_t capacity() const { return m_.capacity(); }
 
   [[nodiscard]] offset_t m(diag_t k) const { return get(m_, k); }
   [[nodiscard]] offset_t i(diag_t k) const { return get(i_, k); }

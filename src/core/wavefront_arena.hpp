@@ -19,14 +19,21 @@ namespace wfasic::core {
 
 class WavefrontArena {
  public:
-  /// Returns a wavefront initialised for [lo, hi], reusing a recycled
-  /// buffer when one is available.
+  /// Returns a wavefront for [lo, hi], reusing a recycled buffer when one
+  /// is available and wide enough. A recycled buffer is not filled
+  /// (Wavefront::reset_unfilled): the caller writes every cell of [lo, hi]
+  /// before reading it. One too narrow is freed for a fresh, exactly sized
+  /// wavefront: growing it in place would reserve up to twice the width,
+  /// and with traceback every wavefront of an alignment is live at once,
+  /// so that spare capacity would raise peak RSS.
   [[nodiscard]] std::unique_ptr<Wavefront> acquire(diag_t lo, diag_t hi) {
     if (!free_.empty()) {
       std::unique_ptr<Wavefront> wf = std::move(free_.back());
       free_.pop_back();
-      wf->reset(lo, hi);
-      return wf;
+      if (wf->capacity() >= static_cast<std::size_t>(hi - lo + 1)) {
+        wf->reset_unfilled(lo, hi);
+        return wf;
+      }
     }
     return std::make_unique<Wavefront>(lo, hi);
   }

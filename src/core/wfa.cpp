@@ -436,9 +436,11 @@ AlignResult WfaAligner::align(std::string_view a, std::string_view b) {
     return result;  // ok = false
   }
 
-  // Score 0: the single seed cell M_{0,0} = 0.
+  // Score 0: the single seed cell M_{0,0} = 0, with no I or D offset.
   Wavefront& wf0 = run.make_wf(0, 0, 0);
   wf0.set_m(0, 0);
+  wf0.set_i(0, kOffsetNull);
+  wf0.set_d(0, kOffsetNull);
 
   score_t s = 0;
   Wavefront* current = &wf0;

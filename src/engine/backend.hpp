@@ -52,17 +52,17 @@ struct BatchJob {
   std::uint64_t trace_tag = 0;
 };
 
-/// Outcome of one batch run — what Soc::run_batch has always returned,
-/// now produced by the engine. Legacy fields keep their meaning;
-/// `encode_cycles`/`pipeline_cycles` are the engine's per-phase view.
+/// Outcome of one batch run through the co-design flow (Engine::run_batch,
+/// Engine::run_dataset): device and CPU-backtrace cycles, per-pair
+/// records and the decoded alignments.
 struct BatchResult {
   std::uint64_t accel_cycles = 0;   ///< device busy time (start to Idle)
   std::uint64_t cpu_bt_cycles = 0;  ///< CPU backtrace (0 when disabled)
-  /// CPU input staging (encode) time, modelled. 0 on the legacy path.
+  /// CPU input staging (encode) time, modelled. 0 for software results.
   std::uint64_t encode_cycles = 0;
   /// Modelled makespan of the pipelined schedule (encode N+1 and decode
-  /// N-1 overlap the aligning of batch N). 0 when the run was not
-  /// pipelined; then total_cycles() degrades to the serial sum.
+  /// N-1 overlap the aligning of batch N). Set by run_dataset; 0 for a
+  /// single batch, where total_cycles() is the serial sum.
   std::uint64_t pipeline_cycles = 0;
 
   [[nodiscard]] std::uint64_t total_cycles() const {

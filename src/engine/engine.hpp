@@ -1,8 +1,9 @@
 // The asynchronous alignment engine: submission/completion queues over a
 // fleet of AlignmentBackends.
 //
-// The engine replaces the SoC's blocking run_batch loop as the host-side
-// orchestrator (Soc stays as a thin facade over a K=1 engine):
+// The engine is the host-side orchestrator of the co-design flow (the CPU
+// encodes, the accelerator aligns, the CPU decodes and backtraces); a K=1
+// engine is the paper's single-accelerator SoC:
 //   - submit() assigns each batch to the least-loaded hardware device
 //     (ties break to the lowest index — deterministic) and returns an
 //     engine-level handle; poll()/wait() advance all devices in bounded
@@ -42,9 +43,6 @@ struct EngineConfig {
   /// Template for every device (each gets its own memory + accelerator).
   HwBackendConfig device;
   SwBackendConfig software;
-  /// Report run_dataset() totals as the pipelined makespan instead of the
-  /// serial encode+align+decode sum.
-  bool pipelined_accounting = true;
   /// Device health management: error scoreboards, quarantine after
   /// repeated failures, golden-pair self-test probes for re-admission
   /// (see engine/health.hpp and docs/RELIABILITY.md).
@@ -104,11 +102,9 @@ struct ResilientReport {
 
 class Engine {
  public:
+  /// Builds `cfg.num_devices` devices from `cfg.device`; reach a device's
+  /// memory and accelerator through device(i).memory()/.accelerator().
   explicit Engine(const EngineConfig& cfg);
-  /// Borrowing: device 0 drives an externally owned memory/accelerator
-  /// (the Soc facade); additional devices are engine-owned.
-  Engine(const EngineConfig& cfg, mem::MainMemory& memory,
-         hw::Accelerator& accelerator);
 
   // --- Asynchronous surface -------------------------------------------------
   /// Queues a batch on the least-loaded device and returns an engine-level
@@ -161,14 +157,13 @@ class Engine {
   [[nodiscard]] std::size_t in_flight() const;
 
   // --- Batch facades --------------------------------------------------------
-  /// One batch through the co-design flow (what Soc::run_batch always
-  /// did). Serial accounting: pipeline_cycles stays 0.
+  /// One batch through the co-design flow. Serial accounting:
+  /// pipeline_cycles stays 0.
   [[nodiscard]] BatchResult run_batch(std::span<const gen::SequencePair> pairs,
                                       bool backtrace, bool separate_data);
   /// An arbitrarily large dataset in batches of at most `batch_pairs`,
-  /// sharded across the devices, merged in dataset order. With
-  /// pipelined_accounting the result's pipeline_cycles is the overlapped
-  /// makespan.
+  /// sharded across the devices, merged in dataset order. The result's
+  /// pipeline_cycles is the overlapped makespan.
   [[nodiscard]] BatchResult run_dataset(
       std::span<const gen::SequencePair> pairs, std::size_t batch_pairs,
       bool backtrace, bool separate_data);

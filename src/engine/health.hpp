@@ -46,15 +46,6 @@ struct HealthConfig {
   /// Times a device may be readmitted from quarantine before a further
   /// quarantine retires it outright (anti-flapping).
   unsigned max_readmissions = 1;
-
-  // Golden self-test batch (scores precomputed with the software WFA at
-  // engine construction; deterministic in the seed).
-  std::size_t golden_pairs = 4;
-  std::size_t golden_length = 64;
-  double golden_error_rate = 0.05;
-  std::uint64_t golden_seed = 0xC0FFEE;
-  /// Device cycle budget for one probe launch.
-  std::uint64_t probe_cycle_budget = 10'000'000;
 };
 
 /// One health-state change, appended to the monitor's transition log in

@@ -1,7 +1,6 @@
 #include "engine/hw_backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -10,31 +9,24 @@
 
 namespace wfasic::engine {
 
+namespace {
+
+/// CPU input-staging cost model: cycles per encoded byte (header + padded
+/// sequences), a streaming-store estimate on the in-order core.
+constexpr std::uint64_t kEncodeCyclesPerByte = 1;
+/// CPU NBT decode cost model: cycles per 4-byte result word decoded.
+constexpr std::uint64_t kNbtDecodeCyclesPerPair = 16;
+
+}  // namespace
+
 HwBackend::HwBackend(const HwBackendConfig& cfg)
     : cfg_(cfg),
-      owned_memory_(std::make_unique<mem::MainMemory>(cfg.memory_bytes)),
-      owned_accelerator_(
-          std::make_unique<hw::Accelerator>(cfg.accel, *owned_memory_)),
-      memory_(owned_memory_.get()),
-      accelerator_(owned_accelerator_.get()),
+      memory_(std::make_unique<mem::MainMemory>(cfg.memory_bytes)),
+      accelerator_(std::make_unique<hw::Accelerator>(cfg.accel, *memory_)),
       driver_(*accelerator_),
       cpu_(cfg.cpu) {
-  init_device();
-}
-
-HwBackend::HwBackend(const HwBackendConfig& cfg, mem::MainMemory& memory,
-                     hw::Accelerator& accelerator)
-    : cfg_(cfg),
-      memory_(&memory),
-      accelerator_(&accelerator),
-      driver_(accelerator),
-      cpu_(cfg.cpu) {
-  init_device();
-}
-
-void HwBackend::init_device() {
-  // Checked against the memory actually driven, owned or borrowed: an
-  // out_addr past its end would otherwise abort mid-run inside the DMA.
+  // An out_addr past the end of memory would otherwise abort mid-run
+  // inside the DMA.
   WFASIC_REQUIRE(cfg_.in_addr < cfg_.out_addr &&
                      cfg_.out_addr < memory_->size(),
                  "HwBackend: arena addresses out of order or out of memory");
@@ -100,9 +92,7 @@ HwBackend::StagedJob HwBackend::encode_front(unsigned slot) {
       drv::encode_input_set(*memory_, staged.job.pairs, in_addr,
                             cfg_.out_addr, /*force_max_read_len=*/0,
                             cfg_.accel.crc, next_salt_++);
-  staged.encode_cycles = static_cast<std::uint64_t>(std::llround(
-      static_cast<double>(staged.layout.in_bytes) *
-      cfg_.encode_cycles_per_byte));
+  staged.encode_cycles = staged.layout.in_bytes * kEncodeCyclesPerByte;
   return staged;
 }
 
@@ -147,7 +137,7 @@ bool HwBackend::poll() {
       launch(std::move(staged));
     } else if (!queue_.empty()) {
       // Device drained and nothing staged: encode straight into slot 0
-      // (the legacy blocking addresses) and launch.
+      // (the addresses a blocking driver run uses) and launch.
       launch(encode_front(0));
     }
   }
@@ -427,9 +417,7 @@ void HwBackend::decode_into(Completion& completion, const ActiveJob& active,
       out.ok = nbt.success;
       out.score = static_cast<score_t>(nbt.score);
     }
-    completion.decode_cycles = static_cast<std::uint64_t>(std::llround(
-        static_cast<double>(layout.num_pairs) *
-        cfg_.nbt_decode_cycles_per_pair));
+    completion.decode_cycles = layout.num_pairs * kNbtDecodeCyclesPerPair;
   }
   completion.result = std::move(result);
 }

@@ -1,7 +1,7 @@
 // AlignmentBackend over one simulated WFAsic device.
 //
-// The backend owns (or borrows, for the Soc facade) a MainMemory and an
-// Accelerator, drives them through drv::Driver, and turns the blocking
+// The backend owns a MainMemory and an Accelerator built from its config,
+// drives them through drv::Driver, and turns the blocking
 // encode -> start -> wait_idle -> decode flow into a polled state machine:
 //   - the input region [in_addr, out_addr) is split into two arena slots;
 //     while batch N aligns out of one slot, batch N+1 is encoded into the
@@ -48,11 +48,6 @@ struct HwBackendConfig {
   std::uint64_t launch_cycle_budget = 4'000'000'000ULL;
   /// No-progress watchdog programmed into the device (0 = disabled).
   std::uint32_t watchdog = 0;
-  /// CPU input-staging cost model: cycles per encoded byte (header +
-  /// padded sequences), a streaming-store estimate on the in-order core.
-  double encode_cycles_per_byte = 1.0;
-  /// CPU NBT decode cost model: cycles per 4-byte result word decoded.
-  double nbt_decode_cycles_per_pair = 16.0;
   /// Periodic device-checkpoint interval in device cycles (0 = off, the
   /// default — no snapshots are taken and poll() is unchanged). With a
   /// non-zero interval the backend snapshots the whole device at the
@@ -64,12 +59,9 @@ struct HwBackendConfig {
 
 class HwBackend final : public AlignmentBackend {
  public:
-  /// Owning: builds a private MainMemory + Accelerator from the config.
+  /// Builds the device's MainMemory + Accelerator from the config, checks
+  /// the arena fits that memory and programs the configured watchdog.
   explicit HwBackend(const HwBackendConfig& cfg);
-  /// Borrowing: drives an externally owned device (the Soc facade keeps
-  /// owning its memory/accelerator so introspection APIs stay valid).
-  HwBackend(const HwBackendConfig& cfg, mem::MainMemory& memory,
-            hw::Accelerator& accelerator);
 
   JobHandle submit(BatchJob job) override;
   bool poll() override;
@@ -156,9 +148,6 @@ class HwBackend final : public AlignmentBackend {
   JobHandle adopt(Migration migration);
 
  private:
-  /// Both constructors: validates the arena against the driven memory and
-  /// programs the configured watchdog.
-  void init_device();
   [[nodiscard]] std::uint64_t predicted_in_bytes(const BatchJob& job) const;
   /// Encodes the queue front into arena slot `slot` (or the full region
   /// when it needs an exclusive launch).
@@ -179,10 +168,8 @@ class HwBackend final : public AlignmentBackend {
                    const drv::RunStatus& status);
 
   HwBackendConfig cfg_;
-  std::unique_ptr<mem::MainMemory> owned_memory_;
-  std::unique_ptr<hw::Accelerator> owned_accelerator_;
-  mem::MainMemory* memory_ = nullptr;
-  hw::Accelerator* accelerator_ = nullptr;
+  std::unique_ptr<mem::MainMemory> memory_;
+  std::unique_ptr<hw::Accelerator> accelerator_;
   drv::Driver driver_;
   cpu::CpuModel cpu_;
 

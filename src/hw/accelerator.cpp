@@ -22,20 +22,15 @@ Accelerator::Accelerator(AcceleratorConfig cfg, mem::MainMemory& memory)
   pmu_probe_ = std::make_unique<FifoOccupancyProbe>(input_fifo_, output_fifo_);
 
   // Tick order: drain first (collector), then producers, then ingest, so a
-  // full pipeline moves one step everywhere within a cycle. None of the
-  // pipeline stages uses the commit phase, so they register off the
-  // commit list (needs_commit = false) and the scheduler never pays the
-  // empty virtual calls.
-  scheduler_.add(collector_.get(), /*needs_commit=*/false);
-  for (auto& aligner : aligners_) {
-    scheduler_.add(aligner.get(), /*needs_commit=*/false);
-  }
-  scheduler_.add(extractor_.get(), /*needs_commit=*/false);
-  scheduler_.add(dma_.get(), /*needs_commit=*/false);
+  // full pipeline moves one step everywhere within a cycle.
+  scheduler_.add(collector_.get());
+  for (auto& aligner : aligners_) scheduler_.add(aligner.get());
+  scheduler_.add(extractor_.get());
+  scheduler_.add(dma_.get());
   // The PMU probe samples FIFO occupancy after every pipeline stage has
   // acted, so it registers last. It is always quiescent and never affects
   // what the other components do.
-  scheduler_.add(pmu_probe_.get(), /*needs_commit=*/false);
+  scheduler_.add(pmu_probe_.get());
 
   // Observability wiring: one trace track per unit plus a top-level run
   // track. The sink is enabled by config (or later at runtime); with it

@@ -31,8 +31,9 @@ void Aligner::begin_load() {
 }
 
 void Aligner::clear_ring() {
-  // Buffers stay allocated: make_wavefront reinitialises a slot's storage
-  // when its score is claimed, so stale contents are never observable.
+  // Buffers stay allocated: make_wavefront re-sizes a slot's storage when
+  // its score is claimed, and every cell is written before it is read, so
+  // stale contents are never observable.
   for (Slot& slot : ring_) slot.score = -1;
 }
 
@@ -96,14 +97,11 @@ core::Wavefront* Aligner::wavefront(score_t s) {
   return slot.score == s ? slot.wf.get() : nullptr;
 }
 
-core::Wavefront& Aligner::make_wavefront(score_t s, diag_t lo, diag_t hi,
-                                         bool fill) {
+core::Wavefront& Aligner::make_wavefront(score_t s, diag_t lo, diag_t hi) {
   Slot& slot = ring_[static_cast<std::size_t>(s % window_)];
   slot.score = s;
   if (slot.wf == nullptr) {
     slot.wf = std::make_unique<core::Wavefront>(lo, hi);
-  } else if (fill) {
-    slot.wf->reset(lo, hi);
   } else {
     slot.wf->reset_unfilled(lo, hi);
   }
@@ -141,6 +139,8 @@ void Aligner::start_alignment() {
   geom_.emplace(n_, m_len_, cfg_.pen, cfg_.k_max);
   core::Wavefront& wf0 = make_wavefront(0, 0, 0);
   wf0.set_m(0, 0);
+  wf0.set_i(0, kOffsetNull);
+  wf0.set_d(0, kOffsetNull);
   current_ = &wf0;
   state_ = State::kRun;
   step_score();
@@ -192,10 +192,9 @@ Aligner::ScoreStep Aligner::advance_score(bool codes) {
     phase_cycles_.overhead += step.overhead;
     return step;
   }
-  // fill = false: the row kernel writes every M/I/D cell of
-  // [bounds.lo, bounds.hi] before the wavefront is read.
-  core::Wavefront& out = make_wavefront(s_, bounds.lo, bounds.hi,
-                                        /*fill=*/false);
+  // The row kernel writes every M/I/D cell of [bounds.lo, bounds.hi]
+  // before the wavefront is read.
+  core::Wavefront& out = make_wavefront(s_, bounds.lo, bounds.hi);
   step.width = static_cast<unsigned>(out.width());
   if (codes) codes_.resize(step.width);
   core::compute_wf_row(

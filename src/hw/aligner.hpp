@@ -211,11 +211,9 @@ class Aligner final : public sim::Component {
 
   [[nodiscard]] core::Wavefront* wavefront(score_t s);
   /// Activates the ring slot for score s, recycling the slot's previous
-  /// buffer (core::Wavefront::reset) instead of reallocating. Pass
-  /// fill = false only when every cell of [lo, hi] is written before any
-  /// read (the compute phase does; see Wavefront::reset_unfilled).
-  core::Wavefront& make_wavefront(score_t s, diag_t lo, diag_t hi,
-                                  bool fill = true);
+  /// buffer unfilled (core::Wavefront::reset_unfilled) instead of
+  /// reallocating: the caller writes every cell of [lo, hi] before any read.
+  core::Wavefront& make_wavefront(score_t s, diag_t lo, diag_t hi);
   /// Invalidates all ring slots, keeping their buffers for reuse.
   void clear_ring();
 

@@ -26,7 +26,7 @@ namespace wfasic::mem {
 class MainMemory {
  public:
   // ZeroPages defers zero-filling to first touch, so constructing a large
-  // memory (and with it an Engine or Soc) is O(1) host work instead of a
+  // memory (and with it an Engine) is O(1) host work instead of a
   // multi-millisecond page-fault storm. Contents are identical: all zeros.
   explicit MainMemory(std::size_t size_bytes)
       : bytes_(size_bytes),

@@ -1,9 +1,10 @@
-// Simulation kernel: per-cycle two-phase stepping plus one fast path.
+// Simulation kernel: per-cycle stepping plus one fast path.
 //
-// Components register with a Scheduler and are ticked once per cycle in two
-// phases: tick() (combinational work / issue requests) then commit()
-// (sequential state update), which lets two components exchange data in the
-// same cycle without order-dependence bugs.
+// Components register with a Scheduler and are ticked once per cycle, in
+// registration order. Components that exchange data through FIFOs and
+// queues rely on that fixed order, so every run repeats one schedule
+// (hw::Accelerator registers consumers before producers, so a full
+// pipeline advances one stage per cycle).
 //
 // Quiescence protocol: a component may report a span of upcoming cycles
 // whose ticks are no-ops or pure linear counter updates (countdowns, stall
@@ -48,10 +49,8 @@ class Component {
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  /// Phase 1: observe current state, issue requests.
+  /// One cycle of behaviour: observe state, issue requests, update state.
   virtual void tick(cycle_t now) = 0;
-  /// Phase 2: latch new state. Default: nothing.
-  virtual void commit(cycle_t now) { (void)now; }
 
   /// Quiescence report: the number of upcoming cycles for which this
   /// component's tick is a no-op or a pure linear counter update — no
@@ -141,19 +140,16 @@ struct RunUntilResult {
 /// Advances a set of components cycle by cycle. Does not own them.
 class Scheduler {
  public:
-  /// Registers a component. `needs_commit = false` keeps it off the
-  /// commit-phase list (most components never override commit(); skipping
-  /// the empty virtual call halves the per-cycle dispatch cost).
-  /// Registering the same component twice would double-tick it — silent
-  /// state corruption — so it is rejected.
-  void add(Component* component, bool needs_commit = true) {
+  /// Registers a component; it ticks after every component registered
+  /// before it. Registering the same component twice would double-tick it
+  /// — silent state corruption — so it is rejected.
+  void add(Component* component) {
     WFASIC_REQUIRE(component != nullptr, "Scheduler::add: null component");
     WFASIC_REQUIRE(std::find(components_.begin(), components_.end(),
                              component) == components_.end(),
                    "Scheduler::add: component already registered (duplicate "
                    "registration would double-tick it)");
     components_.push_back(component);
-    if (needs_commit) commit_list_.push_back(component);
   }
 
   [[nodiscard]] cycle_t now() const { return now_; }
@@ -172,19 +168,14 @@ class Scheduler {
   /// Runs exactly one cycle.
   void step() { step_n(1); }
 
-  /// Runs exactly `n` cycles with the dispatch lists hoisted out of the
+  /// Runs exactly `n` cycles with the dispatch list hoisted out of the
   /// per-cycle loop (the batched stepper behind driver/engine wait loops).
   void step_n(cycle_t n) {
     Component* const* tick_list = components_.data();
     const std::size_t tick_count = components_.size();
-    Component* const* commit_list = commit_list_.data();
-    const std::size_t commit_count = commit_list_.size();
     stats_.ticks += static_cast<std::uint64_t>(tick_count) * n;
     for (cycle_t c = 0; c < n; ++c) {
       for (std::size_t i = 0; i < tick_count; ++i) tick_list[i]->tick(now_);
-      for (std::size_t i = 0; i < commit_count; ++i) {
-        commit_list[i]->commit(now_);
-      }
       ++now_;
     }
   }
@@ -295,7 +286,6 @@ class Scheduler {
 
  private:
   std::vector<Component*> components_;
-  std::vector<Component*> commit_list_;
   cycle_t now_ = 0;
   DispatchStats stats_;
 };

@@ -9,6 +9,13 @@ namespace wfasic::svc {
 
 namespace {
 
+/// Shard service-time estimate (the hedge threshold's base): cycles per
+/// base of the longer sequence, summed over the shard's pairs.
+constexpr double kEstCyclesPerBase = 8.0;
+/// Total attempts a shard gets (primary + hedges + retries) before its
+/// unresolved requests go to the software backend terminally.
+constexpr unsigned kMaxAttempts = 3;
+
 std::vector<unsigned> lane_weights(const std::vector<LaneConfig>& lanes) {
   std::vector<unsigned> weights;
   weights.reserve(lanes.size());
@@ -30,8 +37,6 @@ AlignService::AlignService(const ServiceConfig& cfg)
       engine_(cfg_.engine),
       wfq_(lane_weights(cfg_.lanes)),
       queues_(cfg_.lanes.size()),
-      tick_(cfg_.tick_cycles != 0 ? cfg_.tick_cycles
-                                  : cfg_.engine.device.poll_quantum),
       max_inflight_(cfg_.max_inflight_shards != 0
                         ? cfg_.max_inflight_shards
                         : 2 * engine_.num_devices()),
@@ -215,7 +220,7 @@ bool AlignService::pump() {
   // The poll simulated one quantum of device time: advance the clock
   // BEFORE collecting, so a completion surfaces one tick after its work
   // and modeled latency includes the device time it consumed.
-  now_ += tick_;
+  now_ += cfg_.engine.device.poll_quantum;
   collect();
   // Periodic metrics sampling (TraceConfig::sample_interval): re-export
   // into the registry and append one trajectory row. Runs after every
@@ -433,7 +438,7 @@ unsigned AlignService::pick_device_excluding(unsigned avoid) {
 std::uint64_t AlignService::estimate_cycles(const Shard& shard) const {
   double est = 0;
   for (const QueuedRequest& rq : shard.reqs) {
-    est += cfg_.hedge.est_cycles_per_base *
+    est += kEstCyclesPerBase *
            static_cast<double>(std::max(rq.pair.a.size(), rq.pair.b.size()));
   }
   return static_cast<std::uint64_t>(std::llround(est));
@@ -523,19 +528,8 @@ void AlignService::dispatch() {
     shard.est_cycles = estimate_cycles(shard);
 
     // Degradation policy: an unusable fleet always degrades to software
-    // (liveness — admitted work must drain); kDegradeToSoftware also
-    // spills over once every usable device is backlogged to the limit.
-    bool software = !fleet_usable();
-    if (!software && cfg_.degrade == DegradeMode::kDegradeToSoftware &&
-        cfg_.hw_backlog_limit != 0) {
-      bool all_backlogged = true;
-      for (unsigned d = 0; d < engine_.num_devices(); ++d) {
-        if (!engine_.health().usable(d)) continue;
-        all_backlogged =
-            all_backlogged && engine_.device(d).pending() >= cfg_.hw_backlog_limit;
-      }
-      software = all_backlogged;
-    }
+    // (liveness — admitted work must drain).
+    const bool software = !fleet_usable();
     // The queue-wait span closes for every request the shard carries
     // (stamped at arrival — the request→shard join the explainer uses),
     // then the shard itself is born.
@@ -562,7 +556,7 @@ void AlignService::check_hedges() {
   if (!cfg_.hedge.enabled) return;
   for (Shard& shard : shards_) {
     if (shard.resolved || shard.hedged ||
-        shard.attempt_count >= cfg_.hedge.max_attempts) {
+        shard.attempt_count >= kMaxAttempts) {
       continue;
     }
     // Hedge the classic straggler: exactly the primary outstanding, on
@@ -660,7 +654,7 @@ void AlignService::process_completion(Shard& shard, Attempt& attempt,
   ++stats_.lanes[shard.lane].retries;
   trace(TraceEventKind::kRetry, shard.id, shard.lane,
         RequestTraceEvent::kNoDevice, shard.attempt_count);
-  if (shard.attempt_count < cfg_.hedge.max_attempts && fleet_usable()) {
+  if (shard.attempt_count < kMaxAttempts && fleet_usable()) {
     // Retry away from the device that just failed.
     launch_attempt(shard, /*software=*/false, attempt.backend,
                    /*hedge=*/true);

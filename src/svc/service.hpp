@@ -23,10 +23,9 @@
 //     health scoreboard acts as the per-device circuit breaker — every
 //     collected outcome is fed back, so repeatedly failing devices
 //     quarantine and stop receiving shards;
-//   - graceful degradation by policy: with the fleet unusable (or the
-//     hardware backlog past its limit), kDegradeToSoftware routes shards
-//     to the SwBackend while kRejectNew turns away new submissions and
-//     lets the admitted backlog drain;
+//   - graceful degradation by policy: with the fleet unusable,
+//     kDegradeToSoftware routes shards to the SwBackend while kRejectNew
+//     turns away new submissions and lets the admitted backlog drain;
 //   - deadline-driven preemption (PreemptConfig): a deadline-critical
 //     request stuck behind a long-running shard checkpoint-evicts that
 //     run off its device (engine::Engine::preempt — lossless park at the
@@ -67,16 +66,7 @@ struct ServiceConfig {
   std::size_t max_batch_pairs = 8;
   /// Unresolved shards allowed in flight at once (0 = 2 per device).
   std::size_t max_inflight_shards = 0;
-  /// Modeled cycles one pump() advances the service clock by
-  /// (0 = the engine device's poll quantum, keeping the clock in step
-  /// with how far each device simulates per round).
-  std::uint64_t tick_cycles = 0;
   DegradeMode degrade = DegradeMode::kDegradeToSoftware;
-  /// kDegradeToSoftware: once every usable device already has this many
-  /// shards pending, further shards go to the software backend instead of
-  /// deepening hardware queues (0 = only degrade when the fleet is
-  /// unusable). kRejectNew: ignored.
-  std::size_t hw_backlog_limit = 0;
   HedgeConfig hedge;
   /// Checkpoint-evict long runs when deadline-critical work is waiting
   /// (types.hpp; requires engine.device.checkpoint-capable hardware —
@@ -235,7 +225,6 @@ class AlignService {
   std::vector<ServiceCompletion> completions_;
   ServiceStats stats_;
   std::uint64_t now_ = 0;
-  std::uint64_t tick_ = 0;
   std::size_t max_inflight_ = 0;
   RequestId next_request_ = 1;
   std::uint64_t next_shard_ = 1;

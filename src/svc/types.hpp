@@ -67,7 +67,7 @@ struct ServiceCompletion {
 };
 
 /// What the service does when the hardware fleet degrades (every device
-/// quarantined/retired, or the backlog limit exceeded).
+/// quarantined or retired).
 enum class DegradeMode : std::uint8_t {
   /// Turn away new submissions (Admission::kRejected) while the fleet is
   /// unusable; already-admitted work still drains through the software
@@ -103,12 +103,6 @@ struct HedgeConfig {
   /// max(min_cycles, latency_factor * estimated shard cycles).
   double latency_factor = 4.0;
   std::uint64_t min_cycles = 250'000;
-  /// Shard service-time estimate: cycles per base of the longer sequence,
-  /// summed over the shard's pairs.
-  double est_cycles_per_base = 8.0;
-  /// Total attempts a shard gets (primary + hedges + retries) before its
-  /// unresolved requests go to the software backend terminally.
-  unsigned max_attempts = 3;
 };
 
 /// Deadline-driven preemption: when a deadline-critical request is stuck

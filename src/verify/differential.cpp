@@ -1,18 +1,22 @@
 #include "verify/differential.hpp"
 
 #include "core/wfa.hpp"
+#include "engine/engine.hpp"
 
 namespace wfasic::verify {
 
 DifferentialReport run_differential(
-    const soc::SocConfig& cfg, const std::vector<gen::SequencePair>& pairs,
-    bool backtrace) {
+    const engine::HwBackendConfig& cfg,
+    const std::vector<gen::SequencePair>& pairs, bool backtrace) {
   DifferentialReport report;
   report.pairs = pairs.size();
 
-  soc::Soc soc(cfg);
+  engine::EngineConfig engine_cfg;
+  engine_cfg.device = cfg;
+  engine::Engine engine(engine_cfg);
   const bool separate = cfg.accel.num_aligners > 1;
-  const soc::BatchResult result = soc.run_batch(pairs, backtrace, separate);
+  const engine::BatchResult result =
+      engine.run_batch(pairs, backtrace, separate);
 
   core::WfaConfig sw_cfg;
   sw_cfg.pen = cfg.accel.pen;
@@ -42,7 +46,7 @@ DifferentialReport run_differential(
   return report;
 }
 
-DifferentialReport run_differential(const soc::SocConfig& cfg,
+DifferentialReport run_differential(const engine::HwBackendConfig& cfg,
                                     const gen::InputSetSpec& spec,
                                     bool backtrace) {
   return run_differential(cfg, gen::generate_input_set(spec), backtrace);

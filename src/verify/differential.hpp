@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/hw_backend.hpp"
 #include "gen/seqgen.hpp"
-#include "soc/soc.hpp"
 
 namespace wfasic::verify {
 
@@ -27,14 +27,15 @@ struct DifferentialReport {
   }
 };
 
-/// Runs `pairs` through a fresh SoC with the given configuration and
-/// cross-checks against the software WFA.
+/// Runs `pairs` through a fresh K=1 engine::Engine whose device is `cfg`
+/// and cross-checks against the software WFA.
 [[nodiscard]] DifferentialReport run_differential(
-    const soc::SocConfig& cfg, const std::vector<gen::SequencePair>& pairs,
-    bool backtrace);
+    const engine::HwBackendConfig& cfg,
+    const std::vector<gen::SequencePair>& pairs, bool backtrace);
 
 /// Convenience: generate-and-verify one synthetic input set.
 [[nodiscard]] DifferentialReport run_differential(
-    const soc::SocConfig& cfg, const gen::InputSetSpec& spec, bool backtrace);
+    const engine::HwBackendConfig& cfg, const gen::InputSetSpec& spec,
+    bool backtrace);
 
 }  // namespace wfasic::verify

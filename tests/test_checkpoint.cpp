@@ -95,16 +95,19 @@ struct Observation {
   friend bool operator==(const Observation&, const Observation&) = default;
 };
 
-Observation observe(const Device& d) {
+Observation observe(const hw::Accelerator& accel,
+                    const mem::MainMemory& memory) {
   Observation obs;
-  obs.final_now = d.accel.now();
-  obs.run_cycles = d.accel.last_run_cycles();
-  obs.err_status = d.accel.read_reg(hw::kRegErrStatus);
-  obs.perf = d.accel.perf_counters();
+  obs.final_now = accel.now();
+  obs.run_cycles = accel.last_run_cycles();
+  obs.err_status = accel.read_reg(hw::kRegErrStatus);
+  obs.perf = accel.perf_counters();
   obs.memory.resize(kMemBytes);
-  d.memory.read(0, obs.memory);
+  memory.read(0, obs.memory);
   return obs;
 }
+
+Observation observe(const Device& d) { return observe(d.accel, d.memory); }
 
 void launch(Device& d, const std::vector<gen::SequencePair>& pairs,
             bool backtrace) {
@@ -129,11 +132,13 @@ Observation reference_run(const std::vector<gen::SequencePair>& pairs,
 // Bit-identity under checkpointing.
 // ---------------------------------------------------------------------------
 
-/// HwBackend settings for a device borrowed from a Device: the test's
-/// arena and a small poll quantum, so a run crosses many poll boundaries.
+/// HwBackend settings for a device like a Device's: the test's memory
+/// size and arena, and a small poll quantum, so a run crosses many poll
+/// boundaries.
 engine::HwBackendConfig backend_config(StepStrategy s) {
   engine::HwBackendConfig cfg;
   cfg.accel = make_cfg(s);
+  cfg.memory_bytes = kMemBytes;
   cfg.in_addr = kInAddr;
   cfg.out_addr = kOutAddr;
   cfg.poll_quantum = 512;
@@ -143,21 +148,20 @@ engine::HwBackendConfig backend_config(StepStrategy s) {
 TEST(CheckpointEquivalence, CheckpointedWaitBitIdentical) {
   // HwBackendConfig::checkpoint_interval snapshots the device at poll
   // boundaries while a run is in flight; the capture must never perturb
-  // the simulation. The same batch goes through a borrowing K=1 Engine
-  // with checkpointing on and off.
+  // the simulation. The same batch goes through a K=1 Engine with
+  // checkpointing on and off.
   for (const bool backtrace : {false, true}) {
     const auto pairs = make_pairs(backtrace ? 902 : 901, 5, 140, 0.07);
     for (const StepStrategy s : kAllStrategies) {
       const auto run = [&](std::uint64_t interval,
                            std::uint64_t& checkpoints) {
-        Device d(s);
         engine::EngineConfig cfg;
         cfg.device = backend_config(s);
         cfg.device.checkpoint_interval = interval;
-        engine::Engine eng(cfg, d.memory, d.accel);
+        engine::Engine eng(cfg);
         (void)eng.run_batch(pairs, backtrace, /*separate_data=*/false);
         checkpoints = eng.metrics().recovery.checkpoints;
-        return observe(d);
+        return observe(eng.device(0).accelerator(), eng.device(0).memory());
       };
       std::uint64_t off_checkpoints = 0;
       std::uint64_t on_checkpoints = 0;
@@ -471,8 +475,7 @@ TEST(SnapshotFuzz, AdoptRejectsCorruptBlobLoudly) {
   // device. Nothing is resumed, no restore is counted, and the device
   // stays usable.
   const engine::HwBackendConfig cfg = backend_config(StepStrategy::kExact);
-  Device src_dev(StepStrategy::kExact);
-  engine::HwBackend src(cfg, src_dev.memory, src_dev.accel);
+  engine::HwBackend src(cfg);
   engine::BatchJob job;
   job.pairs = make_pairs(1001, 3, 400, 0.05);
   const engine::JobHandle handle = src.submit(std::move(job));
@@ -481,15 +484,15 @@ TEST(SnapshotFuzz, AdoptRejectsCorruptBlobLoudly) {
   ASSERT_TRUE(migration.has_value()) << "run finished within one poll";
   migration->job.checkpoint[12] ^= 0x01;
 
-  Device dst_dev(StepStrategy::kExact);
-  engine::HwBackend dst(cfg, dst_dev.memory, dst_dev.accel);
+  engine::HwBackend dst(cfg);
   (void)dst.adopt(std::move(*migration));
   (void)dst.poll();
   const std::vector<engine::Completion> rejected = dst.drain();
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].outcome, drv::RunOutcome::kDataError);
   EXPECT_EQ(rejected[0].restores, 0u);
-  EXPECT_TRUE(dst_dev.accel.idle()) << "nothing may be resumed from a bad blob";
+  EXPECT_TRUE(dst.accelerator().idle())
+      << "nothing may be resumed from a bad blob";
 
   engine::BatchJob next;
   next.pairs = make_pairs(1002, 2, 120, 0.05);

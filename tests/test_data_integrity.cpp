@@ -545,12 +545,9 @@ TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
   std::vector<core::AlignResult> expected;
   for (const auto& pair : pairs) expected.push_back(ref.align(pair.a, pair.b));
 
+  // Launches each seed's resilient run takes (seeds 1..10).
+  constexpr unsigned kLaunches[] = {5, 4, 7, 5, 5, 6, 7, 6, 4, 3};
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    mem::MainMemory memory(32 << 20);
-    hw::AcceleratorConfig cfg;
-    cfg.ecc = true;
-    cfg.crc = true;
-    hw::Accelerator accel(cfg, memory);
     sim::FaultInjector::CampaignConfig fc;
     fc.mem_begin = kInAddr;
     fc.mem_end = kInAddr + 64 * 1024;
@@ -564,18 +561,22 @@ TEST(MixedCampaign, NoSilentCorruptionWithEccAndCrc) {
     fc.write_beat_corruptions = 2;
     fc.write_beat_drops = 1;
     sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
-    accel.attach_fault_injector(&injector);
 
-    // The resilient path at K=1 on this device, watchdog at its reset
-    // default (HwBackend programs the configured value at construction).
+    // The resilient path at K=1 on a 32 MB ECC+CRC device, watchdog at its
+    // reset default (HwBackend programs the configured value at
+    // construction).
     engine::EngineConfig eng_cfg;
-    eng_cfg.device.accel = cfg;
+    eng_cfg.device.accel.ecc = true;
+    eng_cfg.device.accel.crc = true;
+    eng_cfg.device.memory_bytes = 32 << 20;
     eng_cfg.device.in_addr = kInAddr;
     eng_cfg.device.out_addr = kOutAddr;
     eng_cfg.device.watchdog = hw::kDefaultWatchdogCycles;
-    engine::Engine eng(eng_cfg, memory, accel);
+    engine::Engine eng(eng_cfg);
+    eng.device(0).attach_fault_injector(&injector);
     const engine::ResilientReport report = eng.run_resilient(pairs);
     ASSERT_TRUE(report.complete()) << "seed " << seed;
+    EXPECT_EQ(report.launches, kLaunches[seed - 1]) << "seed " << seed;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(report.outcomes[i].result.score, expected[i].score)
           << "seed " << seed << " pair " << i;

@@ -9,10 +9,11 @@
 //   1. the accelerator never spins to the 4-billion-cycle deadlock guard —
 //      every fault ends in an error interrupt with kRegErrStatus naming
 //      the cause;
-//   2. the engine's resilient path (Engine::run_resilient at K=1, on the
-//      test's own memory, accelerator and injector) retries, bisects and
-//      falls back to software until every batch completes with scores
-//      and CIGARs identical to the software core::wfa reference;
+//   2. the engine's resilient path (Engine::run_resilient at K=1, the
+//      test's arena and injector on the engine's device) retries,
+//      bisects and falls back to software until every batch completes
+//      with scores and CIGARs identical to the software core::wfa
+//      reference, with pinned launch, retry, fallback and cycle counts;
 //   3. campaigns replay exactly: the same (seed, config) produces a
 //      bit-identical fault schedule and bit-identical outcomes.
 #include <gtest/gtest.h>
@@ -58,18 +59,18 @@ core::AlignResult reference_alignment(const gen::SequencePair& pair,
   return aligner.align(pair.a, pair.b);
 }
 
-/// The resilient path at K=1 through a borrowed device: the engine drives
-/// the caller's memory and accelerator (fault injector attached) with the
-/// test's arena and a 20k-cycle watchdog.
+/// The resilient path at K=1: the engine's device gets the test's 16 MB
+/// memory and arena, a 20k-cycle watchdog and `injector`.
 engine::ResilientReport run_resilient(
-    mem::MainMemory& memory, hw::Accelerator& accel,
+    sim::FaultInjector& injector,
     const std::vector<gen::SequencePair>& pairs) {
   engine::EngineConfig cfg;
-  cfg.device.accel = accel.config();
+  cfg.device.memory_bytes = 16 << 20;
   cfg.device.in_addr = kInAddr;
   cfg.device.out_addr = kOutAddr;
   cfg.device.watchdog = 20'000;
-  engine::Engine eng(cfg, memory, accel);
+  engine::Engine eng(cfg);
+  eng.device(0).attach_fault_injector(&injector);
   return eng.run_resilient(pairs);
 }
 
@@ -220,10 +221,6 @@ TEST(FaultInjection, PermanentFifoStallIsCaughtByWatchdog) {
 // resilient path's re-encode + retry.
 
 TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
-
   const auto pairs = make_pairs(1, 120);
 
   // Flip bit 3 of the length-of-a header field (120 -> 112) at cycle 0:
@@ -237,18 +234,18 @@ TEST(FaultInjection, InputBitFlipDetectedAndRepairedByRetry) {
   ev.addr = kInAddr + 16;  // section 1: length of a (little-endian u32)
   ev.bit = 3;
   injector.schedule(ev);
-  accel.attach_fault_injector(&injector);
 
-  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
+  const engine::ResilientReport report = run_resilient(injector, pairs);
 
   // The corrupted launch produced a stream inconsistent with the real
   // sequences; the retry re-encoded (repairing the flip) and succeeded.
   EXPECT_EQ(injector.fired_count(), 1u);
-  EXPECT_GE(report.launches, 2u);
-  EXPECT_GE(report.retries, 1u);
+  EXPECT_EQ(report.launches, 2u);
+  EXPECT_EQ(report.retries, 1u);
   EXPECT_EQ(report.cpu_fallbacks, 0u);
+  EXPECT_EQ(report.total_cycles, 1235u);
   EXPECT_TRUE(report.complete());
-  expect_matches_reference(report, pairs, cfg.pen);
+  expect_matches_reference(report, pairs, kDefaultPenalties);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,10 +267,6 @@ struct CampaignOutcome {
 
 CampaignOutcome run_campaign(std::uint64_t seed,
                              std::vector<gen::SequencePair> pairs) {
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
-
   sim::FaultInjector::CampaignConfig fc;
   fc.mem_begin = kInAddr;
   fc.mem_end = kInAddr + 8'000;
@@ -286,9 +279,8 @@ CampaignOutcome run_campaign(std::uint64_t seed,
   fc.beat_corruptions = 2;
   fc.fifo_stalls = 1;
   sim::FaultInjector injector = sim::FaultInjector::make_campaign(seed, fc);
-  accel.attach_fault_injector(&injector);
 
-  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
+  const engine::ResilientReport report = run_resilient(injector, pairs);
 
   CampaignOutcome outcome;
   outcome.schedule = injector.events();
@@ -308,10 +300,6 @@ TEST(FaultInjection, ResilientCampaignCompletesWithReferenceCigars) {
   auto pairs = make_pairs(24, 100);
   pairs[5].a[20] = 'N';  // unsupported read: hardware rejects, CPU resolves
 
-  mem::MainMemory memory(16 << 20);
-  hw::AcceleratorConfig cfg;
-  hw::Accelerator accel(cfg, memory);
-
   sim::FaultInjector::CampaignConfig fc;
   fc.mem_begin = kInAddr;
   fc.mem_end = kInAddr + 8'000;
@@ -325,14 +313,16 @@ TEST(FaultInjection, ResilientCampaignCompletesWithReferenceCigars) {
   fc.fifo_stalls = 1;
   sim::FaultInjector injector =
       sim::FaultInjector::make_campaign(0xfeed, fc);
-  accel.attach_fault_injector(&injector);
 
-  const engine::ResilientReport report = run_resilient(memory, accel, pairs);
+  const engine::ResilientReport report = run_resilient(injector, pairs);
 
   EXPECT_TRUE(report.complete());
-  EXPECT_GE(report.launches, 2u);        // faults forced at least one retry
-  EXPECT_GE(report.cpu_fallbacks, 1u);   // the 'N' pair
-  expect_matches_reference(report, pairs, cfg.pen);
+  // Faults forced retries; the 'N' pair is among the CPU fallbacks.
+  EXPECT_EQ(report.launches, 7u);
+  EXPECT_EQ(report.retries, 6u);
+  EXPECT_EQ(report.cpu_fallbacks, 3u);
+  EXPECT_EQ(report.total_cycles, 50463u);
+  expect_matches_reference(report, pairs, kDefaultPenalties);
 }
 
 TEST(FaultInjection, CampaignOutcomeIsBitIdenticalAcrossRuns) {
@@ -341,11 +331,19 @@ TEST(FaultInjection, CampaignOutcomeIsBitIdenticalAcrossRuns) {
   const CampaignOutcome first = run_campaign(0xabcd, pairs);
   const CampaignOutcome second = run_campaign(0xabcd, pairs);
   EXPECT_EQ(first, second);
+  EXPECT_EQ(first.launches, 1u);
+  EXPECT_EQ(first.retries, 0u);
+  EXPECT_EQ(first.cpu_fallbacks, 3u);
+  EXPECT_EQ(first.total_cycles, 3613u);
 
   // A different seed draws a different schedule (and, in general, a
   // different recovery path) — determinism is per-seed, not vacuous.
   const CampaignOutcome other = run_campaign(0xabce, pairs);
   EXPECT_NE(first.schedule, other.schedule);
+  EXPECT_EQ(other.launches, 4u);
+  EXPECT_EQ(other.retries, 3u);
+  EXPECT_EQ(other.cpu_fallbacks, 1u);
+  EXPECT_EQ(other.total_cycles, 24697u);
 }
 
 }  // namespace

@@ -15,11 +15,11 @@
 #include "core/wfa.hpp"
 #include "drv/backtrace_cpu.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/regs.hpp"
 #include "mem/main_memory.hpp"
-#include "soc/soc.hpp"
 
 namespace wfasic::hw {
 namespace {
@@ -44,14 +44,14 @@ class AcceleratorConfigSweep : public testing::TestWithParam<HwSweepParam> {};
 
 TEST_P(AcceleratorConfigSweep, ScoresMatchSwgAndCigarsMatchWfa) {
   const HwSweepParam& p = GetParam();
-  soc::SocConfig cfg;
-  cfg.accel.num_aligners = p.aligners;
-  cfg.accel.parallel_sections = p.parallel_sections;
-  soc::Soc soc(cfg);
+  engine::EngineConfig cfg;
+  cfg.device.accel.num_aligners = p.aligners;
+  cfg.device.accel.parallel_sections = p.parallel_sections;
+  engine::Engine soc(cfg);
   const auto pairs =
       gen::generate_input_set({p.length, p.error_rate, 6, p.seed});
   const bool separate = p.aligners > 1;
-  const soc::BatchResult result = soc.run_batch(pairs, true, separate);
+  const engine::BatchResult result = soc.run_batch(pairs, true, separate);
 
   core::WfaAligner reference;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -83,11 +83,11 @@ class AcceleratorPenaltySweep : public testing::TestWithParam<Penalties> {};
 
 TEST_P(AcceleratorPenaltySweep, NonDefaultPenaltiesStayExact) {
   const Penalties pen = GetParam();
-  soc::SocConfig cfg;
-  cfg.accel.pen = pen;
-  soc::Soc soc(cfg);
+  engine::EngineConfig cfg;
+  cfg.device.accel.pen = pen;
+  engine::Engine soc(cfg);
   const auto pairs = gen::generate_input_set({150, 0.1, 5, 911});
-  const soc::BatchResult result = soc.run_batch(pairs, true, false);
+  const engine::BatchResult result = soc.run_batch(pairs, true, false);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_TRUE(result.alignments[i].ok);
     EXPECT_EQ(result.alignments[i].score,
@@ -111,10 +111,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(AcceleratorInvariants, PhaseCyclesAccountedPerBatch) {
-  soc::SocConfig cfg;
-  soc::Soc soc(cfg);
+  engine::EngineConfig cfg;
+  engine::Engine soc(cfg);
   const auto pairs = gen::generate_input_set({300, 0.1, 3, 912});
-  const soc::BatchResult r = soc.run_batch(pairs, false, false);
+  const engine::BatchResult r = soc.run_batch(pairs, false, false);
   // All phases non-zero, and their sum is bounded by the aligner-visible
   // batch time (extraction and drain add the rest).
   EXPECT_GT(r.phase.extend, 0u);
@@ -126,11 +126,11 @@ TEST(AcceleratorInvariants, PhaseCyclesAccountedPerBatch) {
 }
 
 TEST(AcceleratorInvariants, SecondBatchPhaseDeltasAreClean) {
-  soc::SocConfig cfg;
-  soc::Soc soc(cfg);
+  engine::EngineConfig cfg;
+  engine::Engine soc(cfg);
   const auto batch = gen::generate_input_set({200, 0.1, 2, 913});
-  const soc::BatchResult r1 = soc.run_batch(batch, false, false);
-  const soc::BatchResult r2 = soc.run_batch(batch, false, false);
+  const engine::BatchResult r1 = soc.run_batch(batch, false, false);
+  const engine::BatchResult r2 = soc.run_batch(batch, false, false);
   // Identical batches on a reused SoC must report identical deltas.
   EXPECT_EQ(r1.phase.extend, r2.phase.extend);
   EXPECT_EQ(r1.phase.compute, r2.phase.compute);
@@ -138,23 +138,23 @@ TEST(AcceleratorInvariants, SecondBatchPhaseDeltasAreClean) {
 }
 
 TEST(AcceleratorInvariants, BacktraceStallsOnlyWithBacktrace) {
-  soc::SocConfig cfg;
+  engine::EngineConfig cfg;
   const auto pairs = gen::generate_input_set({2000, 0.1, 2, 914});
-  soc::Soc nbt(cfg);
-  const soc::BatchResult r_nbt = nbt.run_batch(pairs, false, false);
+  engine::Engine nbt(cfg);
+  const engine::BatchResult r_nbt = nbt.run_batch(pairs, false, false);
   EXPECT_EQ(r_nbt.output_stall_cycles, 0u);
-  soc::Soc bt(cfg);
-  const soc::BatchResult r_bt = bt.run_batch(pairs, true, false);
+  engine::Engine bt(cfg);
+  const engine::BatchResult r_bt = bt.run_batch(pairs, true, false);
   EXPECT_GT(r_bt.output_stall_cycles, 0u);  // stream saturates the output
 }
 
 TEST(AcceleratorInvariants, DeterministicAcrossRuns) {
   const auto pairs = gen::generate_input_set({250, 0.08, 4, 915});
-  soc::SocConfig cfg;
-  soc::Soc a(cfg);
-  soc::Soc b(cfg);
-  const soc::BatchResult ra = a.run_batch(pairs, true, false);
-  const soc::BatchResult rb = b.run_batch(pairs, true, false);
+  engine::EngineConfig cfg;
+  engine::Engine a(cfg);
+  engine::Engine b(cfg);
+  const engine::BatchResult ra = a.run_batch(pairs, true, false);
+  const engine::BatchResult rb = b.run_batch(pairs, true, false);
   EXPECT_EQ(ra.accel_cycles, rb.accel_cycles);
   EXPECT_EQ(ra.cpu_bt_cycles, rb.cpu_bt_cycles);
   for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -8,12 +8,12 @@
 #include "core/wfa.hpp"
 #include "drv/backtrace_cpu.hpp"
 #include "drv/driver.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/bitpack.hpp"
 #include "hw/wavefront_geometry.hpp"
 #include "mem/main_memory.hpp"
-#include "soc/soc.hpp"
 
 namespace wfasic {
 namespace {
@@ -166,12 +166,12 @@ TEST(Invariants, HwAndSwScoresAgreeUnderBand) {
     sw_cfg.max_score = 2 * k_max + 4;  // the hardware's Eq.-6 limit
     core::WfaAligner sw(sw_cfg);
 
-    soc::SocConfig hw_cfg;
-    hw_cfg.accel.k_max = k_max;
-    soc::Soc soc(hw_cfg);
+    engine::EngineConfig hw_cfg;
+    hw_cfg.device.accel.k_max = k_max;
+    engine::Engine soc(hw_cfg);
 
     const auto pairs = gen::generate_input_set({120, 0.15, 6, 126});
-    const soc::BatchResult hw_result = soc.run_batch(pairs, false, false);
+    const engine::BatchResult hw_result = soc.run_batch(pairs, false, false);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const core::AlignResult sw_result = sw.align(pairs[i].a, pairs[i].b);
       EXPECT_EQ(hw_result.alignments[i].ok, sw_result.ok)

@@ -15,9 +15,7 @@ class Counter final : public Component {
     last_tick = now;
     ++ticks;
   }
-  void commit(cycle_t) override { ++commits; }
   int ticks = 0;
-  int commits = 0;
   cycle_t last_tick = 0;
 };
 
@@ -40,29 +38,7 @@ TEST(Scheduler, TicksAllComponents) {
   sched.step();
   EXPECT_EQ(a.ticks, 3);
   EXPECT_EQ(b.ticks, 3);
-  EXPECT_EQ(a.commits, 3);
   EXPECT_EQ(a.last_tick, 2u);
-}
-
-TEST(Scheduler, TwoPhaseOrderWithinCycle) {
-  // All ticks happen before any commit in the same cycle.
-  Scheduler sched;
-  std::vector<int> order;
-  class Probe final : public Component {
-   public:
-    Probe(std::string n, std::vector<int>& log, int id)
-        : Component(std::move(n)), log_(log), id_(id) {}
-    void tick(cycle_t) override { log_.push_back(id_); }
-    void commit(cycle_t) override { log_.push_back(id_ + 100); }
-    std::vector<int>& log_;
-    int id_;
-  };
-  Probe p1("p1", order, 1);
-  Probe p2("p2", order, 2);
-  sched.add(&p1);
-  sched.add(&p2);
-  sched.step();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 101, 102}));
 }
 
 TEST(Scheduler, RunUntilStopsOnPredicate) {
@@ -103,7 +79,6 @@ TEST(Scheduler, StepNMatchesRepeatedStep) {
   batched.step_n(7);
   EXPECT_EQ(looped.now(), batched.now());
   EXPECT_EQ(a.ticks, b.ticks);
-  EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.last_tick, b.last_tick);
 }
 

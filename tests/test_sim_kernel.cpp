@@ -252,11 +252,11 @@ struct RandomGraph {
           "fused", 8 + prng.next_below(24), queues[0].get());
     }
     const auto add_producers = [&] {
-      for (auto& s : sources) sched.add(s.get(), /*needs_commit=*/false);
-      if (fused) sched.add(fused.get(), /*needs_commit=*/false);
+      for (auto& s : sources) sched.add(s.get());
+      if (fused) sched.add(fused.get());
     };
     if (!relays_first) add_producers();
-    for (auto& r : relays) sched.add(r.get(), /*needs_commit=*/false);
+    for (auto& r : relays) sched.add(r.get());
     if (relays_first) add_producers();
   }
 
@@ -313,8 +313,8 @@ TEST(EventKernel, PredicateStopCycleMatchesExactStepping) {
     std::deque<cycle_t> q;
     PulseSource src("src", 7, 2, &q);
     Relay sink("sink", &q, nullptr);
-    sched.add(&src, /*needs_commit=*/false);
-    sched.add(&sink, /*needs_commit=*/false);
+    sched.add(&src);
+    sched.add(&sink);
     const auto done = [&] { return sink.popped() >= 4; };
     const RunUntilResult r = sched.run_until(done, 1'000, fast);
     EXPECT_FALSE(r.timed_out());
@@ -331,7 +331,7 @@ TEST(EventKernel, TimeoutParityOnDeadlock) {
     Scheduler sched;
     std::deque<cycle_t> q;
     Relay sink("sink", &q, nullptr);
-    sched.add(&sink, /*needs_commit=*/false);
+    sched.add(&sink);
     const RunUntilResult r = sched.run_until(never, 5'000, fast);
     EXPECT_TRUE(r.timed_out());
     EXPECT_EQ(sink.idle_cycles(), 5'000u);
@@ -357,8 +357,8 @@ TEST(MacroStep, BitIdenticalToExactSteppingAndCutsDispatches) {
     FusedSource src{"src", 16, &q};
     Relay sink{"sink", &q, nullptr};
     Run() {
-      sched.add(&src, /*needs_commit=*/false);
-      sched.add(&sink, /*needs_commit=*/false);
+      sched.add(&src);
+      sched.add(&sink);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
       std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state(),
@@ -393,8 +393,8 @@ TEST(MacroStep, NoGrantWhenTwoComponentsAreDue) {
     FusedSource a{"a", 7, &qa};
     FusedSource b{"b", 11, &qb};
     Run() {
-      sched.add(&a, /*needs_commit=*/false);
-      sched.add(&b, /*needs_commit=*/false);
+      sched.add(&a);
+      sched.add(&b);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
       return {sched.now(), a.emitted(), a.state(), b.emitted(), b.state()};
@@ -422,8 +422,8 @@ TEST(MacroStep, NeighborActivationCapsBudgetAndDemotesOnArrival) {
     FusedSource src{"src", 1'000, &q};
     PulseSource probe{"probe", 10, 0, &pulses};
     Run() {
-      sched.add(&src, /*needs_commit=*/false);
-      sched.add(&probe, /*needs_commit=*/false);
+      sched.add(&src);
+      sched.add(&probe);
     }
     [[nodiscard]] std::vector<std::uint64_t> observation() const {
       std::vector<std::uint64_t> obs{sched.now(), src.emitted(), src.state()};
@@ -447,7 +447,7 @@ TEST(MacroStepDeath, BudgetOverrunAborts) {
   Scheduler sched;
   std::deque<cycle_t> q;
   FusedSource src("src", 50, &q, /*overrun=*/true);
-  sched.add(&src, /*needs_commit=*/false);
+  sched.add(&src);
   EXPECT_DEATH((void)sched.run_until(never, 100, /*fast=*/true),
                "overran its budget");
 }

@@ -1,16 +1,26 @@
-#include "soc/soc.hpp"
-
+// The co-designed flow of Figure 4 (the CPU encodes, the accelerator
+// aligns, the CPU decodes and backtraces) on the paper's single-accelerator
+// SoC: a K=1 engine::Engine.
 #include <gtest/gtest.h>
 
 #include "core/swg_affine.hpp"
 #include "core/wfa.hpp"
+#include "cpu/cpu_model.hpp"
+#include "engine/engine.hpp"
 #include "gen/seqgen.hpp"
 
-namespace wfasic::soc {
+namespace wfasic::engine {
 namespace {
 
+/// The default single-device engine with `num_aligners` Aligners.
+EngineConfig soc_config(unsigned num_aligners = 1) {
+  EngineConfig cfg;
+  cfg.device.accel.num_aligners = num_aligners;
+  return cfg;
+}
+
 TEST(Soc, NbtBatchScoresMatchSwg) {
-  Soc soc;
+  Engine soc(soc_config());
   const auto pairs = gen::generate_input_set({150, 0.08, 5, 51});
   const BatchResult result = soc.run_batch(pairs, false, false);
   EXPECT_GT(result.accel_cycles, 0u);
@@ -24,7 +34,7 @@ TEST(Soc, NbtBatchScoresMatchSwg) {
 }
 
 TEST(Soc, BtBatchProducesExactCigars) {
-  Soc soc;
+  Engine soc(soc_config());
   const auto pairs = gen::generate_input_set({120, 0.1, 4, 52});
   const BatchResult result = soc.run_batch(pairs, true, false);
   EXPECT_GT(result.cpu_bt_cycles, 0u);
@@ -37,7 +47,7 @@ TEST(Soc, BtBatchProducesExactCigars) {
 }
 
 TEST(Soc, PerPairRecordsIndexedById) {
-  Soc soc;
+  Engine soc(soc_config());
   const auto pairs = gen::generate_input_set({100, 0.05, 6, 53});
   const BatchResult result = soc.run_batch(pairs, false, false);
   ASSERT_EQ(result.records.size(), 6u);
@@ -50,9 +60,7 @@ TEST(Soc, PerPairRecordsIndexedById) {
 }
 
 TEST(Soc, MultiAlignerBatch) {
-  SocConfig cfg;
-  cfg.accel.num_aligners = 3;
-  Soc soc(cfg);
+  Engine soc(soc_config(3));
   const auto pairs = gen::generate_input_set({200, 0.1, 9, 54});
   const BatchResult result = soc.run_batch(pairs, true, true);
   core::WfaAligner sw;
@@ -65,17 +73,15 @@ TEST(Soc, MultiAlignerBatch) {
 }
 
 TEST(Soc, MultiAlignerWithoutSeparationAborts) {
-  SocConfig cfg;
-  cfg.accel.num_aligners = 2;
-  Soc soc(cfg);
+  Engine soc(soc_config(2));
   const auto pairs = gen::generate_input_set({100, 0.1, 2, 55});
   EXPECT_DEATH((void)soc.run_batch(pairs, true, false), "data-separation");
 }
 
 TEST(Soc, BacktraceCostsExtraCpuTime) {
   const auto pairs = gen::generate_input_set({300, 0.1, 2, 56});
-  Soc soc_nbt;
-  Soc soc_bt;
+  Engine soc_nbt(soc_config());
+  Engine soc_bt(soc_config());
   const BatchResult nbt = soc_nbt.run_batch(pairs, false, false);
   const BatchResult bt = soc_bt.run_batch(pairs, true, false);
   EXPECT_GT(bt.total_cycles(), nbt.total_cycles());
@@ -84,18 +90,20 @@ TEST(Soc, BacktraceCostsExtraCpuTime) {
 }
 
 TEST(Soc, CpuBaselineSlowerThanAccelerator) {
-  Soc soc;
+  Engine soc(soc_config());
   const auto pairs = gen::generate_input_set({500, 0.1, 1, 57});
   const BatchResult accel = soc.run_batch(pairs, false, false);
-  const auto cpu = soc.run_cpu_baseline(pairs[0], core::ExtendMode::kScalar,
-                                        core::Traceback::kEnabled);
+  // The paper's WFA-CPU baseline on the in-order core model.
+  const auto cpu = cpu::CpuModel().run_wfa(
+      pairs[0].a, pairs[0].b, kDefaultPenalties, core::ExtendMode::kScalar,
+      core::Traceback::kEnabled);
   ASSERT_TRUE(cpu.align.ok);
   EXPECT_EQ(cpu.align.score, accel.alignments[0].score);
   EXPECT_GT(cpu.stats.total(), accel.records[0].align_cycles);
 }
 
 TEST(Soc, SequentialBatchesOnSameSocAreIsolated) {
-  Soc soc;
+  Engine soc(soc_config());
   const auto batch1 = gen::generate_input_set({100, 0.05, 3, 58});
   const auto batch2 = gen::generate_input_set({100, 0.10, 4, 59});
   const BatchResult r1 = soc.run_batch(batch1, false, false);
@@ -111,7 +119,7 @@ TEST(Soc, SequentialBatchesOnSameSocAreIsolated) {
 TEST(Soc, UnsupportedPairFlaggedOthersUnaffected) {
   // A read containing 'N' must come back Success=0 through the full stack
   // (backtrace enabled) while its batch mates align normally (§4.2).
-  Soc soc;
+  Engine soc(soc_config());
   const std::vector<gen::SequencePair> pairs = {
       {0, "ACGTACGTACGTACGT", "ACGTACGAACGTACGT"},
       {1, "ACGTNCGTACGTACGT", "ACGTACGTACGTACGT"},  // 'N' base
@@ -126,7 +134,7 @@ TEST(Soc, UnsupportedPairFlaggedOthersUnaffected) {
 }
 
 TEST(Soc, EmptySequencesThroughFullStack) {
-  Soc soc;
+  Engine soc(soc_config());
   const std::vector<gen::SequencePair> pairs = {
       {0, "", "ACGTACGTACGTACGT"},  // pure insertion
       {1, "ACGT", ""},              // pure deletion
@@ -145,8 +153,8 @@ TEST(Soc, EmptySequencesThroughFullStack) {
 TEST(Soc, ReadRecordsEqualForBothErrorRatesAtFixedLength) {
   // Table 1's property: reading cycles depend on MAX_READ_LEN, not errors.
   // Use a forced common padding via same nominal length and compare means.
-  Soc s5;
-  Soc s10;
+  Engine s5(soc_config());
+  Engine s10(soc_config());
   const auto p5 = gen::generate_input_set({400, 0.05, 2, 60});
   const auto p10 = gen::generate_input_set({400, 0.10, 2, 60});
   const BatchResult r5 = s5.run_batch(p5, false, false);
@@ -160,8 +168,8 @@ TEST(Soc, ReadRecordsEqualForBothErrorRatesAtFixedLength) {
 TEST(Soc, RunDatasetMatchesSingleBatchAcrossBoundaries) {
   // 11 pairs in batches of 4: two full launches plus a ragged tail of 3.
   // The dataset path must merge to exactly what one big launch produces.
-  Soc dataset_soc;
-  Soc batch_soc;
+  Engine dataset_soc(soc_config());
+  Engine batch_soc(soc_config());
   const auto pairs = gen::generate_input_set({150, 0.1, 11, 61});
   const BatchResult merged = dataset_soc.run_dataset(pairs, 4, true, false);
   const BatchResult whole = batch_soc.run_batch(pairs, true, false);
@@ -183,8 +191,7 @@ TEST(Soc, RunDatasetMatchesSingleBatchAcrossBoundaries) {
 TEST(Soc, RunDatasetPipelinedAccountingOverlapsPhases) {
   const auto pairs = gen::generate_input_set({400, 0.12, 12, 62});
 
-  SocConfig pipelined_cfg;
-  Soc pipelined(pipelined_cfg);
+  Engine pipelined(soc_config());
   const BatchResult overlapped = pipelined.run_dataset(pairs, 3, true, false);
   ASSERT_GT(overlapped.pipeline_cycles, 0u);
   EXPECT_EQ(overlapped.total_cycles(), overlapped.pipeline_cycles);
@@ -192,19 +199,7 @@ TEST(Soc, RunDatasetPipelinedAccountingOverlapsPhases) {
   // serial align+backtrace sum.
   EXPECT_LT(overlapped.pipeline_cycles,
             overlapped.accel_cycles + overlapped.cpu_bt_cycles);
-
-  SocConfig serial_cfg;
-  serial_cfg.pipelined_accounting = false;
-  Soc serial(serial_cfg);
-  const BatchResult flat = serial.run_dataset(pairs, 3, true, false);
-  EXPECT_EQ(flat.pipeline_cycles, 0u);
-  EXPECT_EQ(flat.total_cycles(), flat.accel_cycles + flat.cpu_bt_cycles);
-  // Accounting mode must not change what the hardware actually did.
-  EXPECT_EQ(flat.accel_cycles, overlapped.accel_cycles);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(flat.alignments[i].score, overlapped.alignments[i].score);
-  }
 }
 
 }  // namespace
-}  // namespace wfasic::soc
+}  // namespace wfasic::engine

@@ -9,7 +9,6 @@
 #include "bench/bench_util.hpp"
 #include "gen/seqgen.hpp"
 #include "mem/axi.hpp"
-#include "soc/soc.hpp"
 
 namespace wfasic {
 namespace {
@@ -18,7 +17,7 @@ using bench::AccelMeasurement;
 using bench::measure_accelerator;
 
 AccelMeasurement measure(const gen::InputSetSpec& spec) {
-  soc::SocConfig cfg;
+  engine::HwBackendConfig cfg;
   return measure_accelerator(gen::generate_input_set(spec), cfg,
                              /*backtrace=*/false, false);
 }
@@ -73,7 +72,7 @@ TEST(TimingModel, StreamReadFormulaInvariants) {
 
 TEST(TimingModel, BacktraceEnabledNeverFasterOnDevice) {
   const auto pairs = gen::generate_input_set({1000, 0.10, 2, 167});
-  soc::SocConfig cfg;
+  engine::HwBackendConfig cfg;
   const AccelMeasurement nbt = measure_accelerator(pairs, cfg, false, false);
   const AccelMeasurement bt = measure_accelerator(pairs, cfg, true, false);
   // The stream can stall the Aligner, never speed it up.
@@ -84,15 +83,15 @@ TEST(TimingModel, Eq7PredictsScalingSaturation) {
   // The MaxAligners prediction from measured cycles must match where the
   // simulated scaling actually flattens (within one step).
   const auto pairs = gen::generate_input_set({100, 0.05, 24, 168});
-  soc::SocConfig cfg1;
+  engine::HwBackendConfig cfg1;
   const AccelMeasurement one = measure_accelerator(pairs, cfg1, false, false);
   const double predicted =
       std::ceil(one.mean_align_cycles / one.mean_reading_cycles) + 1;
 
   // Scaling from N=4 to N=8 should gain little once N exceeds predicted.
-  soc::SocConfig cfg4;
+  engine::HwBackendConfig cfg4;
   cfg4.accel.num_aligners = 4;
-  soc::SocConfig cfg8;
+  engine::HwBackendConfig cfg8;
   cfg8.accel.num_aligners = 8;
   const AccelMeasurement m4 = measure_accelerator(pairs, cfg4, false, false);
   const AccelMeasurement m8 = measure_accelerator(pairs, cfg8, false, false);

@@ -179,6 +179,59 @@ TEST(Wfa, ProbeMemTraceFires) {
   EXPECT_GT(events, 0u);
 }
 
+TEST(Wfa, ReusedAlignerMatchesFreshAligner) {
+  // A long-lived aligner hands recycled wavefront buffers out unfilled
+  // (and frees those too narrow for the next score), so stale offsets
+  // from earlier pairs sit in every reused row until the compute writes
+  // it. Long pairs after short ones and the reverse, on both compute
+  // paths (row kernel; per-cell with a memory trace), must give what a
+  // fresh aligner gives: result, CIGAR and every probe counter.
+  Prng prng(46);
+  for (const bool traced : {false, true}) {
+    for (const Traceback traceback :
+         {Traceback::kEnabled, Traceback::kDisabled}) {
+      WfaConfig cfg;
+      cfg.traceback = traceback;
+      WfaAligner reused(cfg);
+      std::uint64_t reused_events = 0;
+      if (traced) {
+        reused.probe().mem_trace = [&](std::uint64_t, std::uint32_t, bool) {
+          ++reused_events;
+        };
+      }
+      for (const std::size_t len : {400u, 30u, 900u, 1u, 250u, 600u}) {
+        const std::string a = gen::random_sequence(prng, len);
+        const std::string b = gen::mutate_sequence(prng, a, 0.15);
+        WfaAligner fresh(cfg);
+        std::uint64_t fresh_events = 0;
+        if (traced) {
+          fresh.probe().mem_trace = [&](std::uint64_t, std::uint32_t, bool) {
+            ++fresh_events;
+          };
+        }
+        reused.probe().reset();
+        reused_events = 0;
+        const AlignResult r = reused.align(a, b);
+        const AlignResult f = fresh.align(a, b);
+        ASSERT_TRUE(f.ok) << len;
+        EXPECT_EQ(r.ok, f.ok) << len;
+        EXPECT_EQ(r.score, f.score) << len;
+        EXPECT_EQ(r.cigar.str(), f.cigar.str()) << len;
+        const WfaProbe& rp = reused.probe();
+        const WfaProbe& fp = fresh.probe();
+        EXPECT_EQ(rp.cells_computed, fp.cells_computed) << len;
+        EXPECT_EQ(rp.extend_cells, fp.extend_cells) << len;
+        EXPECT_EQ(rp.wf_cells_written, fp.wf_cells_written) << len;
+        EXPECT_EQ(rp.bt_steps, fp.bt_steps) << len;
+        EXPECT_EQ(rp.wf_bytes_allocated, fp.wf_bytes_allocated) << len;
+        EXPECT_EQ(rp.peak_live_wf_bytes, fp.peak_live_wf_bytes) << len;
+        EXPECT_EQ(reused_events, fresh_events) << len;
+      }
+      EXPECT_GT(reused.arena().pooled(), 0u);
+    }
+  }
+}
+
 TEST(Wfa, WorstCaseScoreBound) {
   const Penalties pen = kDefaultPenalties;
   EXPECT_EQ(WfaAligner::worst_case_score(0, 0, pen), 0);

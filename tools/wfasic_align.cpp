@@ -5,8 +5,9 @@
 //                [--score-only] [--penalties x,o,e]
 //                [--stats] [--trace=<out.json>]
 //
-// The `accel` engine runs the full simulated SoC (accelerator + CPU
-// backtrace) and additionally reports accelerator cycles. With `accel`,
+// The `accel` engine runs the full simulated SoC (a single-device
+// engine::Engine: accelerator + CPU backtrace) and additionally reports
+// accelerator cycles. With `accel`,
 // --stats dumps the PMU counter bank and the engine metrics to stderr,
 // and --trace writes a Chrome trace-event JSON of the run (load it at
 // https://ui.perfetto.dev — see docs/OBSERVABILITY.md). Both are
@@ -19,8 +20,8 @@
 #include "common/trace_json.hpp"
 #include "core/swg_affine.hpp"
 #include "core/wfa.hpp"
+#include "engine/engine.hpp"
 #include "gen/pairfile.hpp"
-#include "soc/soc.hpp"
 #include "tools/stats_util.hpp"
 
 namespace {
@@ -67,26 +68,25 @@ int run_software(const std::vector<gen::SequencePair>& pairs,
 int run_accelerator(const std::vector<gen::SequencePair>& pairs,
                     const Penalties& pen, core::Traceback traceback,
                     bool stats, const std::string& trace_path) {
-  soc::SocConfig cfg;
-  cfg.accel.pen = pen;
-  cfg.accel.trace = !trace_path.empty();
-  soc::Soc soc(cfg);
+  engine::EngineConfig cfg;
+  cfg.device.accel.pen = pen;
+  cfg.device.accel.trace = !trace_path.empty();
+  engine::Engine engine(cfg);
+  hw::Accelerator& accel = engine.device(0).accelerator();
   const bool backtrace = traceback == core::Traceback::kEnabled;
-  const soc::BatchResult result = soc.run_batch(pairs, backtrace, false);
+  const engine::BatchResult result = engine.run_batch(pairs, backtrace, false);
   if (stats) {
-    drv::Driver driver(soc.accelerator());
+    drv::Driver driver(accel);
     tools::print_perf_snapshot(driver.read_perf_counters(), stderr);
-    tools::print_engine_metrics(soc.engine().metrics(), stderr);
+    tools::print_engine_metrics(engine.metrics(), stderr);
   }
   if (!trace_path.empty()) {
-    if (!common::write_chrome_trace_file(soc.accelerator().trace(),
-                                         trace_path)) {
+    if (!common::write_chrome_trace_file(accel.trace(), trace_path)) {
       std::fprintf(stderr, "# trace: cannot write %s\n", trace_path.c_str());
       return 1;
     }
     std::fprintf(stderr, "# trace: wrote %s (%zu events)\n",
-                 trace_path.c_str(),
-                 soc.accelerator().trace().events().size());
+                 trace_path.c_str(), accel.trace().events().size());
   }
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto& alignment = result.alignments[i];

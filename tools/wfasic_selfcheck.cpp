@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   std::size_t bad_cases = 0;
   for (std::size_t idx = 0; idx < cases.size(); ++idx) {
     const Case& c = cases[idx];
-    soc::SocConfig cfg;
+    engine::HwBackendConfig cfg;
     cfg.accel.num_aligners = c.aligners;
     cfg.accel.parallel_sections = c.sections;
     const gen::InputSetSpec spec{c.length, c.error, quick ? 4u : 8u,
